@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Default mode explores each selected preset within the schedule
-//! budget, printing explored/pruned counts and the prune ratio. On an
+//! budget, printing explored/pruned counts and the prune ratio. `all`
+//! selects the single-group presets; the multi-group `cross-group`
+//! scenario runs through the same reporting loop when named. On an
 //! oracle violation the offending schedule is minimized, written as a
 //! replayable JSON file (into `--out`, default the working directory)
 //! alongside a flight-recorder postmortem bundle
@@ -26,7 +28,9 @@
 //! `.json` extension selects the JSON snapshot format instead.
 //!
 //! Exit codes: 0 clean, 1 violation found (or replay reproduced one, or
-//! a `--min-*` gate failed), 2 usage/IO error.
+//! a `--min-*` gate failed), 2 usage/IO error (including `--tamper` for
+//! a scenario that cannot honour it, or a tamper block in a replayed
+//! `cross-group` schedule).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -34,18 +38,17 @@ use std::sync::Arc;
 use guesstimate_analysis::matrices_from_json;
 use guesstimate_core::CommuteMatrix;
 use guesstimate_mc::{
-    explore, minimize, multigroup, replay_traced, ExploreConfig, Preset, Schedule, TamperSpec,
-    CROSS_GROUP, PRESETS,
+    minimize, replay_traced, ExploreConfig, NamedScenario, Schedule, TamperSpec, CROSS_GROUP,
+    PRESETS,
 };
 use guesstimate_net::Tracer;
 use guesstimate_obs::FlightRecorder;
 use guesstimate_telemetry::Telemetry;
 
 struct Args {
-    presets: Vec<&'static Preset>,
-    /// Run the multi-group `cross-group` preset (not part of `all`: it
-    /// explores a different cluster shape with its own oracles).
-    cross_group: bool,
+    /// `all` selects [`PRESETS`]; the multi-group `cross-group` scenario
+    /// is selected by name only (it has its own gates in CI).
+    scenarios: Vec<NamedScenario>,
     rounds: Option<u64>,
     cfg: ExploreConfig,
     matrix: CommuteMatrix,
@@ -56,6 +59,10 @@ struct Args {
     replay_file: Option<String>,
     emit: Option<String>,
     metrics: Option<String>,
+}
+
+fn all() -> Vec<NamedScenario> {
+    PRESETS.iter().map(|p| NamedScenario::Single(*p)).collect()
 }
 
 fn usage() -> &'static str {
@@ -77,8 +84,7 @@ fn parse_tamper(s: &str) -> Result<TamperSpec, String> {
 
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
-        presets: PRESETS.iter().collect(),
-        cross_group: false,
+        scenarios: all(),
         rounds: None,
         cfg: ExploreConfig::default(),
         matrix: CommuteMatrix::new(),
@@ -105,14 +111,12 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
             "--preset" => {
                 let v = need("--preset", argv.next())?;
-                if v == CROSS_GROUP {
-                    args.presets = Vec::new();
-                    args.cross_group = true;
-                } else if v != "all" {
-                    let p =
-                        Preset::by_name(&v).ok_or(format!("unknown preset `{v}` (try --list)"))?;
-                    args.presets = vec![p];
-                }
+                args.scenarios = if v == "all" {
+                    all()
+                } else {
+                    vec![NamedScenario::by_name(&v)
+                        .ok_or(format!("unknown preset `{v}` (try --list)"))?]
+                };
             }
             "--rounds" => {
                 args.rounds = Some(
@@ -244,16 +248,17 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
     args.cfg.telemetry = telemetry.clone();
 
     let mut gate_failed = false;
-    for base in &args.presets {
-        let mut preset = **base;
+    for base in &args.scenarios {
+        let mut scenario = *base;
         if let Some(r) = args.rounds {
-            preset.rounds = r;
+            scenario.set_rounds(r);
         }
-        let out = explore(&preset, &args.matrix, args.tamper, &args.cfg);
+        let name = scenario.name();
+        let out = scenario.explore(&args.matrix, args.tamper, &args.cfg)?;
         let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
         println!(
             "{:<14} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
-            preset.name,
+            name,
             out.schedules,
             out.pruned,
             100.0 * ratio,
@@ -264,30 +269,22 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
         );
 
         if let Some((violation, steps)) = out.violation {
-            println!(
-                "{}: VIOLATION after {} steps: {violation}",
-                preset.name,
-                steps.len()
-            );
+            println!("{name}: VIOLATION after {} steps: {violation}", steps.len());
             let raw = Schedule {
-                preset: preset.name.to_owned(),
+                preset: name.to_owned(),
                 tamper: args.tamper,
                 steps,
             };
             let min = minimize(&raw, &args.matrix);
             println!(
-                "{}: minimized {} -> {} steps",
-                preset.name,
+                "{name}: minimized {} -> {} steps",
                 raw.steps.len(),
                 min.steps.len()
             );
-            let file = format!("{}/mc-repro-{}.json", args.out_dir, preset.name);
+            let file = format!("{}/mc-repro-{name}.json", args.out_dir);
             std::fs::write(&file, min.to_json()).map_err(|e| format!("{file}: {e}"))?;
-            println!(
-                "{}: wrote repro to {file} (replay with: mc --replay {file})",
-                preset.name
-            );
-            let pm = format!("{}/mc-postmortem-{}.json", args.out_dir, preset.name);
+            println!("{name}: wrote repro to {file} (replay with: mc --replay {file})");
+            let pm = format!("{}/mc-postmortem-{name}.json", args.out_dir);
             write_postmortem(&min, &args.matrix, &pm, &violation.to_string())?;
             write_metrics(args.metrics.as_deref(), &telemetry)?;
             return Ok(ExitCode::from(1));
@@ -295,14 +292,13 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
 
         if let (Some(path), Some(steps)) = (&args.emit, &out.sample) {
             let sched = Schedule {
-                preset: preset.name.to_owned(),
+                preset: name.to_owned(),
                 tamper: args.tamper,
                 steps: steps.clone(),
             };
             std::fs::write(path, sched.to_json()).map_err(|e| format!("{path}: {e}"))?;
             println!(
-                "{}: wrote sample schedule ({} steps) to {path}",
-                preset.name,
+                "{name}: wrote sample schedule ({} steps) to {path}",
                 steps.len()
             );
         }
@@ -310,76 +306,7 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
         if let Some(min) = args.min_schedules {
             if out.schedules < min {
                 eprintln!(
-                    "{}: GATE FAILED: explored {} schedules, wanted >= {min}",
-                    preset.name, out.schedules
-                );
-                gate_failed = true;
-            }
-        }
-        if let Some(min) = args.min_prune {
-            if args.cfg.reduction && ratio < min {
-                eprintln!(
-                    "{}: GATE FAILED: prune ratio {ratio:.3}, wanted >= {min}",
-                    preset.name
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if args.cross_group {
-        let out = multigroup::explore(&args.cfg);
-        let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
-        println!(
-            "{:<14} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
-            CROSS_GROUP,
-            out.schedules,
-            out.pruned,
-            100.0 * ratio,
-            out.truncated,
-            out.max_depth,
-            out.steps_executed,
-            if out.complete { "  (exhausted)" } else { "" },
-        );
-        if let Some((violation, steps)) = out.violation {
-            println!(
-                "{CROSS_GROUP}: VIOLATION after {} steps: {violation}",
-                steps.len()
-            );
-            let raw = Schedule {
-                preset: CROSS_GROUP.to_owned(),
-                tamper: None,
-                steps,
-            };
-            let min = minimize(&raw, &args.matrix);
-            println!(
-                "{CROSS_GROUP}: minimized {} -> {} steps",
-                raw.steps.len(),
-                min.steps.len()
-            );
-            let file = format!("{}/mc-repro-{CROSS_GROUP}.json", args.out_dir);
-            std::fs::write(&file, min.to_json()).map_err(|e| format!("{file}: {e}"))?;
-            println!("{CROSS_GROUP}: wrote repro to {file} (replay with: mc --replay {file})");
-            let pm = format!("{}/mc-postmortem-{CROSS_GROUP}.json", args.out_dir);
-            write_postmortem(&min, &args.matrix, &pm, &violation.to_string())?;
-            write_metrics(args.metrics.as_deref(), &telemetry)?;
-            return Ok(ExitCode::from(1));
-        }
-        if let (Some(path), Some(steps)) = (&args.emit, &out.sample) {
-            let sched = Schedule {
-                preset: CROSS_GROUP.to_owned(),
-                tamper: None,
-                steps: steps.clone(),
-            };
-            std::fs::write(path, sched.to_json()).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{CROSS_GROUP}: wrote sample schedule ({} steps) to {path}",
-                steps.len()
-            );
-        }
-        if let Some(min) = args.min_schedules {
-            if out.schedules < min {
-                eprintln!(
-                    "{CROSS_GROUP}: GATE FAILED: explored {} schedules, wanted >= {min}",
+                    "{name}: GATE FAILED: explored {} schedules, wanted >= {min}",
                     out.schedules
                 );
                 gate_failed = true;
@@ -387,7 +314,7 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
         }
         if let Some(min) = args.min_prune {
             if args.cfg.reduction && ratio < min {
-                eprintln!("{CROSS_GROUP}: GATE FAILED: prune ratio {ratio:.3}, wanted >= {min}");
+                eprintln!("{name}: GATE FAILED: prune ratio {ratio:.3}, wanted >= {min}");
                 gate_failed = true;
             }
         }

@@ -1,15 +1,20 @@
 //! Stateless depth-first exploration with sleep-set partial-order
-//! reduction.
+//! reduction — one explorer for every [`Scenario`].
 //!
-//! The explorer enumerates schedules of a [`Preset`]'s post-prelude
+//! The explorer enumerates schedules of a scenario's post-prelude
 //! cluster. Each tree node is a scheduler state; its outgoing edges are
 //! the **enabled choices**: deliver any in-flight message, drop one
-//! (while the preset's loss budget lasts), and — in quiet phases — admit
-//! the staged joiner or fire the earliest timer. Machines are not
+//! (while the scenario's loss budget lasts), and — in quiet phases — admit
+//! a staged joiner or fire the earliest timer. Machines are not
 //! clonable (completions are closures), so backtracking is *stateless*:
-//! the cluster is rebuilt from the preset and the current path prefix is
+//! the cluster is rebuilt from the scenario and the current path prefix is
 //! replayed. The prelude and every step are deterministic, so replay
 //! reproduces the node exactly.
+//!
+//! Everything here is generic over the scenario and monomorphised over
+//! its actor type: the single-group presets ([`SingleGroup`]) and the
+//! multi-group `cross-group` fixture share the choice list, the DFS loop,
+//! schedule replay and the quiesced-then-terminal-oracle rule.
 //!
 //! ## Sleep sets
 //!
@@ -24,31 +29,37 @@
 //!
 //! ## The independence relation
 //!
-//! Grounded in the validated effect analysis (`guesstimate_runtime::commute`,
-//! fed by `guesstimate-analysis`):
+//! The generic half:
 //!
 //! * `Deliver(x)` / `Deliver(y)` to **different machines** are
 //!   independent: delivery only mutates the target.
-//! * `Deliver(x)` / `Deliver(y)` to the **same machine** are independent
-//!   iff both are `Msg::Ops` batches of the *same round* from *different
-//!   senders* and every cross-pair of envelopes — serialized batches and
-//!   piggybacked async windows alike — commutes per [`wire_ops_commute`]
+//! * `Drop(x)` is independent of anything except a choice about the same
+//!   message.
+//! * `Admit` and `Timer` are dependent on everything (they change
+//!   membership/time, which feeds back into all future choices).
+//!
+//! Deliveries to the **same machine** are the scenario's call
+//! ([`Scenario::same_target_independent`]). For the single-group presets
+//! the answer is grounded in the validated effect analysis
+//! (`guesstimate_runtime::commute`, fed by `guesstimate-analysis`):
+//!
+//! * two `Msg::Ops` batches are independent iff they belong to the *same
+//!   round*, come from *different senders*, and every cross-pair of
+//!   envelopes — serialized batches and piggybacked async windows alike —
+//!   commutes per [`guesstimate_runtime::commute::wire_ops_commute`]
 //!   (object-disjointness → validated [`CommuteMatrix`] →
 //!   argument-precise footprints). This is strictly conservative: the
 //!   receiver buffers a round's batches by operation id and applies them
 //!   in id order, so same-round batches commute at the state level
 //!   regardless — the commute gate only ever keeps *more* interleavings
 //!   than necessary, never fewer.
-//! * `Deliver` of two `Msg::AsyncOp`s to the same machine are
-//!   independent iff they come from different senders (same-sender
-//!   asyncs share a FIFO arrival slot) and their envelopes commute;
-//!   an `AsyncOp` and an `Ops` batch likewise, provided the flusher is
-//!   not the async op's own sender and the async envelope commutes with
-//!   everything the batch carries.
-//! * `Drop(x)` is independent of anything except a choice about the same
-//!   message.
-//! * `Admit` and `Timer` are dependent on everything (they change
-//!   membership/time, which feeds back into all future choices).
+//! * two `Msg::AsyncOp`s are independent iff they come from different
+//!   senders (same-sender asyncs share a FIFO arrival slot) and their
+//!   envelopes commute; an `AsyncOp` and an `Ops` batch likewise,
+//!   provided the flusher is not the async op's own sender and the async
+//!   envelope commutes with everything the batch carries.
+//!
+//! The `cross-group` fixture keeps every same-target pair dependent.
 //!
 //! One caveat the digest-set soundness test (`mc` crate tests) confirms
 //! empirically: reordering independent deliveries can renumber messages
@@ -57,15 +68,15 @@
 //! stable across replays of the same prefix.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use guesstimate_core::{CommuteMatrix, MachineId};
-use guesstimate_net::SchedNet;
-use guesstimate_runtime::commute::wire_ops_commute;
-use guesstimate_runtime::{Machine, Msg, WireEnvelope};
+use guesstimate_core::CommuteMatrix;
+use guesstimate_net::{Actor, SchedNet, Tracer};
+use guesstimate_runtime::StateSummary;
 use guesstimate_telemetry::Telemetry;
 
-use crate::oracle::{check_step, check_terminal, state_digest, Violation};
-use crate::scenario::{Built, Preset};
+use crate::oracle::Violation;
+use crate::scenario::{NamedScenario, Preset, Scenario, SingleGroup};
 use crate::schedule::{Schedule, Step, TamperSpec};
 
 /// Exploration limits and switches.
@@ -130,7 +141,7 @@ struct Frame {
 
 /// Executes one choice against the cluster. Returns false if the choice
 /// was not applicable (stale seq, no timer).
-pub fn exec_step(net: &mut SchedNet<Machine>, s: Step) -> bool {
+pub fn exec_step<A: Actor>(net: &mut SchedNet<A>, s: Step) -> bool {
     match s {
         Step::Deliver(q) => net.deliver(q),
         Step::Drop(q) => net.drop_msg(q),
@@ -139,22 +150,21 @@ pub fn exec_step(net: &mut SchedNet<Machine>, s: Step) -> bool {
     }
 }
 
-fn enabled(built: &Built, preset: &Preset, drops_used: u32) -> Vec<Step> {
-    let net = &built.net;
+fn enabled<S: Scenario>(s: &S, built: &S::Built, drops_used: u32) -> Vec<Step> {
+    let net = S::net(built);
     let mut v = Vec::new();
     let msgs = net.pending_msgs();
     if !msgs.is_empty() {
-        v.extend(msgs.iter().map(|&s| Step::Deliver(s)));
-        if drops_used < preset.drop_budget {
-            v.extend(msgs.iter().map(|&s| Step::Drop(s)));
+        v.extend(msgs.iter().map(|&q| Step::Deliver(q)));
+        if drops_used < s.drop_budget() {
+            v.extend(msgs.iter().map(|&q| Step::Drop(q)));
         }
         return v;
     }
     // Quiet phase: the round is over (or has not started). Admission and
-    // the next timer are the only moves; the joiner's handshake messages
+    // the next timer are the only moves; a joiner's handshake messages
     // then become ordinary delivery choices.
-    let master = net.actor(MachineId::new(0)).expect("master");
-    if master.stats().syncs_seen >= built.base_rounds + preset.rounds {
+    if s.rounds_done(built) {
         return v; // terminal: explored rounds exhausted, nothing in flight
     }
     v.extend(net.pending_joins().iter().map(|&j| Step::Admit(j)));
@@ -165,98 +175,33 @@ fn enabled(built: &Built, preset: &Preset, drops_used: u32) -> Vec<Step> {
 }
 
 /// The independence relation described in the module docs.
-fn independent(built: &Built, matrix: &CommuteMatrix, a: Step, b: Step) -> bool {
+fn independent<S: Scenario>(s: &S, built: &S::Built, a: Step, b: Step) -> bool {
     use Step::{Admit, Deliver, Drop, Timer};
     match (a, b) {
         (Admit(_) | Timer, _) | (_, Admit(_) | Timer) => false,
         (Deliver(x) | Drop(x), Deliver(y) | Drop(y)) if x == y => false,
         (Drop(_), Deliver(_) | Drop(_)) | (Deliver(_), Drop(_)) => true,
         (Deliver(x), Deliver(y)) => {
-            let net = &built.net;
+            let net = S::net(built);
             let (Some(px), Some(py)) = (net.pending_msg(x), net.pending_msg(y)) else {
                 return false;
             };
-            if px.to != py.to {
-                return true;
-            }
-            let Some(target) = net.actor(px.to) else {
-                return false;
-            };
-            let type_of = |oid| target.object_type(oid).map(str::to_owned);
-            let commute = |ea: &WireEnvelope, eb: &WireEnvelope| {
-                wire_ops_commute(&built.registry, matrix, &type_of, &ea.op, &eb.op)
-            };
-            // Envelopes a message applies (or stages) at the receiver:
-            // serialized batch plus the piggybacked async window for Ops,
-            // the single envelope for a standalone AsyncOp.
-            match (&px.msg, &py.msg) {
-                (
-                    Msg::Ops {
-                        round: ra,
-                        machine: sa,
-                        ops: oa,
-                        asyncs: aa,
-                    },
-                    Msg::Ops {
-                        round: rb,
-                        machine: sb,
-                        ops: ob,
-                        asyncs: ab,
-                    },
-                ) => {
-                    if ra != rb || sa == sb {
-                        return false;
-                    }
-                    let ea = oa.iter().chain(aa.iter().map(|(_, e)| e));
-                    ea.clone().all(|a| {
-                        ob.iter()
-                            .chain(ab.iter().map(|(_, e)| e))
-                            .all(|b| commute(a, b))
-                    })
-                }
-                (Msg::AsyncOp { env: ea, .. }, Msg::AsyncOp { env: eb, .. }) => {
-                    // Same-sender AsyncOps share an arrival-order slot.
-                    px.from != py.from && commute(ea, eb)
-                }
-                (
-                    Msg::AsyncOp { env, .. },
-                    Msg::Ops {
-                        machine,
-                        ops,
-                        asyncs,
-                        ..
-                    },
-                )
-                | (
-                    Msg::Ops {
-                        machine,
-                        ops,
-                        asyncs,
-                        ..
-                    },
-                    Msg::AsyncOp { env, .. },
-                ) => {
-                    // The async op must commute with both the ops the
-                    // round will apply and the piggybacked window; a flush
-                    // from the async op's own sender shares its slot.
-                    let sender = if matches!(&px.msg, Msg::AsyncOp { .. }) {
-                        px.from
-                    } else {
-                        py.from
-                    };
-                    sender != *machine
-                        && ops
-                            .iter()
-                            .chain(asyncs.iter().map(|(_, e)| e))
-                            .all(|b| commute(env, b))
-                }
-                _ => false,
-            }
+            px.to != py.to || s.same_target_independent(built, px, py)
         }
     }
 }
 
-/// Explores the preset's schedule tree depth-first.
+/// Fails when `tamper` is given to a scenario that cannot honour it.
+fn check_tamper<S: Scenario>(s: &S, tamper: Option<TamperSpec>) -> Result<(), String> {
+    if tamper.is_some() && !s.accepts_tamper() {
+        return Err(format!("preset {} does not accept a tamper", s.name()));
+    }
+    Ok(())
+}
+
+/// Explores the preset's schedule tree depth-first under `matrix`
+/// (extended with the preset's baseline pairs; see
+/// [`Preset::effective_matrix`]).
 ///
 /// Stops at the first oracle violation (recorded in
 /// [`Outcome::violation`] together with the offending schedule), when
@@ -268,15 +213,27 @@ pub fn explore(
     tamper: Option<TamperSpec>,
     cfg: &ExploreConfig,
 ) -> Outcome {
-    // Resolve the matrix once: the preset's baseline pairs (which arm the
-    // hybrid path) must feed the POR independence relation and the
-    // machines' own classification identically.
-    let matrix = &preset.effective_matrix(matrix);
+    explore_scenario(&SingleGroup::new(preset, matrix), tamper, cfg)
+        .expect("presets accept a tamper")
+}
+
+/// Explores any scenario's schedule tree depth-first (see [`explore`]).
+///
+/// # Errors
+///
+/// Returns `Err` when `tamper` is given to a scenario that does not
+/// accept one.
+pub fn explore_scenario<S: Scenario>(
+    s: &S,
+    tamper: Option<TamperSpec>,
+    cfg: &ExploreConfig,
+) -> Result<Outcome, String> {
+    check_tamper(s, tamper)?;
     let mut out = Outcome::default();
-    let mut built = preset.build(matrix, tamper);
+    let mut built = s.build(tamper);
     let mut path: Vec<Step> = Vec::new();
     let mut frames = vec![Frame {
-        choices: enabled(&built, preset, 0),
+        choices: enabled(s, &built, 0),
         idx: 0,
         sleep: Vec::new(),
         explored: Vec::new(),
@@ -318,11 +275,11 @@ pub fn explore(
             continue;
         }
         if dirty {
-            built = preset.build(matrix, tamper);
-            for &s in &path {
+            built = s.build(tamper);
+            for &step in &path {
                 assert!(
-                    exec_step(&mut built.net, s),
-                    "replaying {s} of a known prefix"
+                    exec_step(S::net_mut(&mut built), step),
+                    "replaying {step} of a known prefix"
                 );
                 out.steps_executed += 1;
             }
@@ -336,11 +293,11 @@ pub fn explore(
             .iter()
             .chain(frame.explored.iter())
             .copied()
-            .filter(|&x| x != c && independent(&built, matrix, x, c))
+            .filter(|&x| x != c && independent(s, &built, x, c))
             .collect();
 
         assert!(
-            exec_step(&mut built.net, c),
+            exec_step(S::net_mut(&mut built), c),
             "enabled choice {c} must apply"
         );
         out.steps_executed += 1;
@@ -350,12 +307,12 @@ pub fn explore(
         }
         out.max_depth = out.max_depth.max(path.len());
         cfg.telemetry.mc_oracle_check();
-        if let Some(v) = check_step(&built.net, preset.hybrid) {
+        if let Some(v) = s.check_step(&built) {
             out.violation = Some((v, path.clone()));
-            return out;
+            return Ok(out);
         }
 
-        let next = enabled(&built, preset, drops_used);
+        let next = enabled(s, &built, drops_used);
         let terminal = next.is_empty();
         let cut = !terminal && path.len() >= cfg.max_steps;
         if terminal || cut {
@@ -366,15 +323,13 @@ pub fn explore(
             }
             if terminal {
                 cfg.telemetry.mc_oracle_check();
-                if let Some(v) =
-                    check_terminal(&built.net, &built.registry, preset.total_machines())
-                {
+                if let Some(v) = s.check_terminal(&built) {
                     out.violation = Some((v, path.clone()));
-                    return out;
+                    return Ok(out);
                 }
             }
             if cfg.collect_digests {
-                out.terminal_digests.insert(state_digest(&built.net));
+                out.terminal_digests.insert(s.state_digest(&built));
             }
             out.sample = Some(path.clone());
             path.pop();
@@ -394,7 +349,7 @@ pub fn explore(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// The result of replaying a schedule file.
@@ -415,15 +370,15 @@ pub struct ReplayReport {
 ///
 /// # Errors
 ///
-/// Returns `Err` when the schedule names an unknown preset.
+/// Returns `Err` when the schedule names an unknown preset, or carries a
+/// tamper block its preset does not accept.
 pub fn replay(sched: &Schedule, matrix: &CommuteMatrix) -> Result<ReplayReport, String> {
     replay_inner(sched, matrix, None).map(|(report, _)| report)
 }
 
 /// [`replay`] with a shared trace sink installed on the scheduler driver
 /// and every initial machine *before* any step executes, plus a
-/// [`guesstimate_runtime::StateSummary`] snapshot of each machine at the
-/// end.
+/// [`StateSummary`] snapshot of each machine at the end.
 ///
 /// Message-stamp allocation is part of the deterministic driver state,
 /// so replaying the same schedule reproduces the exact same stamped
@@ -432,78 +387,65 @@ pub fn replay(sched: &Schedule, matrix: &CommuteMatrix) -> Result<ReplayReport, 
 ///
 /// # Errors
 ///
-/// Returns `Err` when the schedule names an unknown preset.
+/// As [`replay`].
 pub fn replay_traced(
     sched: &Schedule,
     matrix: &CommuteMatrix,
-    tracer: std::sync::Arc<dyn guesstimate_net::Tracer>,
-) -> Result<(ReplayReport, Vec<guesstimate_runtime::StateSummary>), String> {
+    tracer: Arc<dyn Tracer>,
+) -> Result<(ReplayReport, Vec<StateSummary>), String> {
     replay_inner(sched, matrix, Some(tracer))
 }
 
 fn replay_inner(
     sched: &Schedule,
     matrix: &CommuteMatrix,
-    tracer: Option<std::sync::Arc<dyn guesstimate_net::Tracer>>,
-) -> Result<(ReplayReport, Vec<guesstimate_runtime::StateSummary>), String> {
-    // The multi-group preset builds its own cluster shape (MultiMachine
-    // wrappers, no tamper, no commute matrix); driver-level tracing does
-    // not reach the inner machines, so its bundles carry state summaries
-    // with an empty causal timeline.
-    if sched.preset == crate::multigroup::CROSS_GROUP {
-        return Ok(crate::multigroup::replay_with_summaries(sched));
-    }
-    let preset =
-        Preset::by_name(&sched.preset).ok_or_else(|| format!("unknown preset {}", sched.preset))?;
-    let matrix = &preset.effective_matrix(matrix);
-    let mut built = preset.build(matrix, sched.tamper);
+    tracer: Option<Arc<dyn Tracer>>,
+) -> Result<(ReplayReport, Vec<StateSummary>), String> {
+    NamedScenario::by_name(&sched.preset)
+        .ok_or_else(|| format!("unknown preset {}", sched.preset))?
+        .replay(sched, matrix, tracer)
+}
+
+/// Replays `sched` against a freshly built `s` (see [`replay_traced`]):
+/// steps whose seq is no longer pending are skipped, the step oracles run
+/// after every applied step, and the terminal oracles run if the run ends
+/// quiesced (nothing in flight, explored rounds done).
+///
+/// # Errors
+///
+/// Returns `Err` when the schedule carries a tamper block `s` does not
+/// accept.
+pub fn replay_scenario<S: Scenario>(
+    s: &S,
+    sched: &Schedule,
+    tracer: Option<Arc<dyn Tracer>>,
+) -> Result<(ReplayReport, Vec<StateSummary>), String> {
+    check_tamper(s, sched.tamper)?;
+    let mut built = s.build(sched.tamper);
     if let Some(t) = tracer {
-        built.net.set_tracer(t.clone());
-        for i in 0..preset.total_machines() {
-            if let Some(m) = built.net.actor_mut(MachineId::new(i)) {
-                m.set_tracer(t.clone());
-            }
-        }
+        S::net_mut(&mut built).set_tracer(t.clone());
+        s.trace_actors(&mut built, &t);
     }
     let mut report = ReplayReport {
         applied: 0,
         skipped: 0,
         violation: None,
     };
-    for &s in &sched.steps {
-        if exec_step(&mut built.net, s) {
-            report.applied += 1;
-        } else {
+    for &step in &sched.steps {
+        if !exec_step(S::net_mut(&mut built), step) {
             report.skipped += 1;
             continue;
         }
-        if let Some(v) = check_step(&built.net, preset.hybrid) {
+        report.applied += 1;
+        if let Some(v) = s.check_step(&built) {
             report.violation = Some(v);
-            return Ok((report, summaries(&built, preset)));
+            return Ok((report, s.summaries(&built)));
         }
     }
-    let quiesced = built.net.pending_msgs().is_empty()
-        && built
-            .net
-            .actor(MachineId::new(0))
-            .expect("master")
-            .stats()
-            .syncs_seen
-            >= built.base_rounds + preset.rounds;
-    if quiesced {
-        report.violation = check_terminal(&built.net, &built.registry, preset.total_machines());
+    if S::net(&built).pending_msgs().is_empty() && s.rounds_done(&built) {
+        report.violation = s.check_terminal(&built);
     }
-    let states = summaries(&built, preset);
-    Ok((report, states))
-}
-
-/// State summaries of every machine currently admitted to the net, in
-/// machine-id order.
-fn summaries(built: &Built, preset: &Preset) -> Vec<guesstimate_runtime::StateSummary> {
-    (0..preset.total_machines())
-        .filter_map(|i| built.net.actor(MachineId::new(i)))
-        .map(Machine::state_summary)
-        .collect()
+    Ok((report, s.summaries(&built)))
 }
 
 #[cfg(test)]
@@ -580,13 +522,12 @@ mod tests {
     /// reaches the same digest.
     #[test]
     fn replay_is_deterministic() {
-        let p = Preset::by_name("sudoku").unwrap();
-        let matrix = CommuteMatrix::new();
-        let mut a = p.build(&matrix, None);
-        let mut b = p.build(&matrix, None);
+        let s = SingleGroup::new(Preset::by_name("sudoku").unwrap(), &CommuteMatrix::new());
+        let mut a = s.build(None);
+        let mut b = s.build(None);
         let mut steps = Vec::new();
         for _ in 0..24 {
-            let next = enabled(&a, p, 0);
+            let next = enabled(&s, &a, 0);
             let Some(&c) = next.first() else { break };
             assert!(exec_step(&mut a.net, c));
             steps.push(c);

@@ -33,12 +33,15 @@
 //! have resolved every submitted cross operation, hold no fenced group,
 //! and agree on the merged committed digest.
 //!
-//! Exploration is stateless DFS with a conservative sleep-set reduction
-//! (deliveries to distinct nodes are independent — a delivery only
-//! mutates its target wrapper; everything else is dependent). Schedules
-//! reuse the standard [`Schedule`] file format under the preset name
-//! [`CROSS_GROUP`], so `mc --replay`, ddmin minimization and the
-//! checked-in regression suite work unchanged.
+//! [`CrossGroup`] is this fixture's [`Scenario`]: the shared explorer
+//! ([`mod@crate::explore`]) drives it exactly as it drives the single-group
+//! presets. Its reduction is conservative — deliveries to distinct nodes
+//! are independent (the explorer's generic rule; a delivery only mutates
+//! its target wrapper), every same-node pair is dependent — and it has no
+//! loss budget and no staged joiner. Schedules use the standard
+//! [`crate::Schedule`] file format under the preset name [`CROSS_GROUP`],
+//! so `mc --replay`, ddmin minimization, flight-recorder postmortems and
+//! the checked-in regression suite work unchanged.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,13 +50,14 @@ use guesstimate_core::{
     args, ComponentPlan, EffectSpec, Footprint, GState, MachineId, OpRegistry, PathPattern,
     RestoreError, Routing, ShardPlan, SharedOp, TypePlan, Value,
 };
-use guesstimate_net::{SchedNet, SimTime};
+use guesstimate_net::{SchedNet, SimTime, Tracer};
 use guesstimate_runtime::multigroup::{vid, GroupId, GroupTable, MultiClusterSpec, MultiMachine};
-use guesstimate_runtime::MachineConfig;
+use guesstimate_runtime::{MachineConfig, StateSummary};
 
-use crate::explore::{ExploreConfig, Outcome, ReplayReport};
-use crate::oracle::Violation;
-use crate::schedule::{Schedule, Step};
+use crate::explore::{explore_scenario, ExploreConfig, Outcome};
+use crate::oracle::{check_machine, digest_machines, Violation};
+use crate::scenario::{Pending, Scenario};
+use crate::schedule::TamperSpec;
 
 /// The multi-group preset's name in schedule files and `mc --preset`.
 pub const CROSS_GROUP: &str = "cross-group";
@@ -62,8 +66,20 @@ pub const CROSS_GROUP: &str = "cross-group";
 const NODES: u32 = 3;
 /// Cross operations the workload submits (the cross oracle's target).
 const CROSS_OPS: u64 = 1;
-/// Per-group rounds to explore beyond the prelude.
-const ROUNDS: u64 = 2;
+
+/// The `cross-group` [`Scenario`]: the fixture cluster plus the knob
+/// `mc --rounds` turns.
+#[derive(Debug, Clone, Copy)]
+pub struct CrossGroup {
+    /// Per-group rounds to explore beyond the prelude.
+    pub rounds: u64,
+}
+
+impl Default for CrossGroup {
+    fn default() -> Self {
+        CrossGroup { rounds: 2 }
+    }
+}
 
 /// The two-component fixture type: independent fields `a` and `b`.
 #[derive(Clone, Default, Debug, PartialEq)]
@@ -168,7 +184,7 @@ pub struct CrossBuilt {
     /// The multi-group cluster under the controlled scheduler.
     pub net: SchedNet<MultiMachine>,
     /// Each group master's sync count at the end of the prelude;
-    /// exploration targets `base + ROUNDS` per group.
+    /// exploration targets `base + rounds` per group.
     pub base_rounds: BTreeMap<GroupId, u64>,
 }
 
@@ -182,7 +198,7 @@ pub struct CrossBuilt {
 ///
 /// Panics if the prelude fails to converge — a harness or protocol bug,
 /// not an explorable behavior.
-pub fn build() -> CrossBuilt {
+fn build() -> CrossBuilt {
     let table = Arc::new(GroupTable::from_plan(plan()));
     let spec = MultiClusterSpec::full_overlap(NODES, Arc::clone(&table));
     let registry = Arc::new(registry());
@@ -249,95 +265,14 @@ pub fn build() -> CrossBuilt {
     CrossBuilt { net, base_rounds }
 }
 
-/// True when the explored window is over: every group's master has run
-/// its target rounds, every node has resolved every submitted cross
-/// operation, and no fences remain.
-fn rounds_done(built: &CrossBuilt) -> bool {
-    let node0 = built.net.actor(MachineId::new(0)).expect("node 0");
-    let rounds_ok = built.base_rounds.iter().all(|(&g, &base)| {
-        node0
-            .group(g)
-            .is_some_and(|m| m.stats().syncs_seen >= base + ROUNDS)
-    });
-    rounds_ok
-        && (0..NODES).all(|i| {
-            let mm = built.net.actor(MachineId::new(i)).expect("node");
-            mm.cross_resolved() == CROSS_OPS && mm.frozen_groups().is_empty()
-        })
-}
-
-fn enabled(built: &CrossBuilt) -> Vec<Step> {
-    let msgs = built.net.pending_msgs();
-    if !msgs.is_empty() {
-        return msgs.iter().map(|&s| Step::Deliver(s)).collect();
-    }
-    if rounds_done(built) {
-        return Vec::new();
-    }
-    if built.net.has_timers() {
-        vec![Step::Timer]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Deliveries to different nodes are independent: a delivery mutates
-/// only its target wrapper (and mints new messages, whose seq numbering
-/// the stable per-node choice identity absorbs — same argument as the
-/// single-group explorer). Everything else is dependent.
-fn independent(built: &CrossBuilt, a: Step, b: Step) -> bool {
-    let (Step::Deliver(x), Step::Deliver(y)) = (a, b) else {
-        return false;
-    };
-    if x == y {
-        return false;
-    }
-    match (built.net.pending_msg(x), built.net.pending_msg(y)) {
-        (Some(px), Some(py)) => px.to != py.to,
-        _ => false,
-    }
-}
-
-/// Executes one choice. Returns false if it was not applicable.
-fn exec_step(net: &mut SchedNet<MultiMachine>, s: Step) -> bool {
-    match s {
-        Step::Deliver(q) => net.deliver(q),
-        Step::Drop(q) => net.drop_msg(q),
-        Step::Admit(q) => net.admit(q),
-        Step::Timer => net.fire_next_timer(),
-    }
-}
-
 /// The per-step oracles described in the module docs.
 pub fn check_step(net: &SchedNet<MultiMachine>) -> Option<Violation> {
     let ids = net.members();
     for &id in &ids {
         let mm = net.actor(id).expect("member");
         for g in mm.group_ids() {
-            let m = mm.group(g).expect("hosted");
-            if !m.check_guess_invariant() {
-                return Some(Violation::GuessInvariant {
-                    machine: vid(id, g),
-                });
-            }
-            let count = m.stats().max_exec_count;
-            if count > 3 {
-                return Some(Violation::ExecBound {
-                    machine: vid(id, g),
-                    count,
-                });
-            }
-            if let Some(w) = m.witness_violations().first() {
-                return Some(Violation::WitnessEscape {
-                    machine: vid(id, g),
-                    detail: w.to_string(),
-                });
-            }
-            if let Some(v) = m.shard_violations().first() {
-                return Some(Violation::ShardEscape {
-                    machine: vid(id, g),
-                    detail: v.to_string(),
-                });
+            if let Some(v) = check_machine(vid(id, g), mm.group(g).expect("hosted")) {
+                return Some(v);
             }
         }
         if mm.cross_resolved() > CROSS_OPS {
@@ -432,202 +367,136 @@ pub fn check_terminal(net: &SchedNet<MultiMachine>) -> Option<Violation> {
     None
 }
 
-/// Explores the cross-group preset's schedule tree depth-first (see the
-/// module docs for the reduction). Mirrors [`crate::explore::explore`]
-/// for the multi-group cluster; drop and admission choices do not arise
-/// (lossless network, no staged joiner).
+/// Explores the cross-group preset's schedule tree depth-first with the
+/// default [`CrossGroup`] knobs.
 pub fn explore(cfg: &ExploreConfig) -> Outcome {
-    let mut out = Outcome::default();
-    let mut built = build();
-    let mut path: Vec<Step> = Vec::new();
-    struct Frame {
-        choices: Vec<Step>,
-        idx: usize,
-        sleep: Vec<Step>,
-        explored: Vec<Step>,
-    }
-    let mut frames = vec![Frame {
-        choices: enabled(&built),
-        idx: 0,
-        sleep: Vec::new(),
-        explored: Vec::new(),
-    }];
-    let mut dirty = false;
+    explore_scenario(&CrossGroup::default(), None, cfg).expect("no tamper given")
+}
 
-    while out.schedules < cfg.max_schedules {
-        let Some(frame) = frames.last_mut() else {
-            out.complete = true;
-            break;
-        };
-        if frame.idx >= frame.choices.len() {
-            frames.pop();
-            match path.pop() {
-                Some(c) => {
-                    let parent = frames.last_mut().expect("frames outnumber path by one");
-                    parent.explored.push(c);
-                    parent.idx += 1;
-                    dirty = true;
-                    continue;
-                }
-                None => {
-                    out.complete = true;
-                    break;
-                }
-            }
-        }
-        let c = frame.choices[frame.idx];
-        if cfg.reduction && frame.sleep.contains(&c) {
-            frame.idx += 1;
-            out.pruned += 1;
-            cfg.telemetry.mc_pruned();
-            continue;
-        }
-        if dirty {
-            built = build();
-            for &s in &path {
-                assert!(exec_step(&mut built.net, s), "replaying a known prefix");
-                out.steps_executed += 1;
-            }
-            dirty = false;
-        }
-        let frame = frames.last().expect("just checked");
-        let child_sleep: Vec<Step> = frame
-            .sleep
-            .iter()
-            .chain(frame.explored.iter())
-            .copied()
-            .filter(|&x| x != c && independent(&built, x, c))
+impl Scenario for CrossGroup {
+    type Actor = MultiMachine;
+    type Built = CrossBuilt;
+
+    fn name(&self) -> &'static str {
+        CROSS_GROUP
+    }
+
+    fn build(&self, _tamper: Option<TamperSpec>) -> CrossBuilt {
+        build()
+    }
+
+    fn net(built: &CrossBuilt) -> &SchedNet<MultiMachine> {
+        &built.net
+    }
+
+    fn net_mut(built: &mut CrossBuilt) -> &mut SchedNet<MultiMachine> {
+        &mut built.net
+    }
+
+    /// Lossless: drops would change the explored tree (and the
+    /// throughput numbers tracked for it), so they wait for the fault
+    /// choice points that come with a budget per scenario.
+    fn drop_budget(&self) -> u32 {
+        0
+    }
+
+    fn accepts_tamper(&self) -> bool {
+        false
+    }
+
+    /// Every group's master has run its target rounds, every node has
+    /// resolved every submitted cross operation, and no fences remain.
+    fn rounds_done(&self, built: &CrossBuilt) -> bool {
+        let node0 = built.net.actor(MachineId::new(0)).expect("node 0");
+        let rounds_ok = built.base_rounds.iter().all(|(&g, &base)| {
+            node0
+                .group(g)
+                .is_some_and(|m| m.stats().syncs_seen >= base + self.rounds)
+        });
+        rounds_ok
+            && (0..NODES).all(|i| {
+                let mm = built.net.actor(MachineId::new(i)).expect("node");
+                mm.cross_resolved() == CROSS_OPS && mm.frozen_groups().is_empty()
+            })
+    }
+
+    /// Always dependent: no commute argument covers a wrapper's per-node
+    /// fence and cross-round state.
+    fn same_target_independent(
+        &self,
+        _: &CrossBuilt,
+        _: &Pending<Self>,
+        _: &Pending<Self>,
+    ) -> bool {
+        false
+    }
+
+    fn check_step(&self, built: &CrossBuilt) -> Option<Violation> {
+        check_step(&built.net)
+    }
+
+    fn check_terminal(&self, built: &CrossBuilt) -> Option<Violation> {
+        check_terminal(&built.net)
+    }
+
+    fn state_digest(&self, built: &CrossBuilt) -> u64 {
+        let nodes: Vec<_> = built
+            .net
+            .members()
+            .into_iter()
+            .map(|id| (id, built.net.actor(id).expect("member")))
             .collect();
+        let cross: Vec<_> = nodes
+            .iter()
+            .map(|(_, mm)| (mm.cross_resolved(), mm.cross_digest()))
+            .collect();
+        digest_machines(
+            nodes.iter().flat_map(|&(id, mm)| {
+                mm.group_ids()
+                    .into_iter()
+                    .map(move |g| (vid(id, g), mm.group(g).expect("hosted")))
+            }),
+            cross,
+        )
+    }
 
-        assert!(exec_step(&mut built.net, c), "enabled choice must apply");
-        out.steps_executed += 1;
-        path.push(c);
-        out.max_depth = out.max_depth.max(path.len());
-        cfg.telemetry.mc_oracle_check();
-        if let Some(v) = check_step(&built.net) {
-            out.violation = Some((v, path.clone()));
-            return out;
-        }
-
-        let next = enabled(&built);
-        let terminal = next.is_empty();
-        let cut = !terminal && path.len() >= cfg.max_steps;
-        if terminal || cut {
-            out.schedules += 1;
-            cfg.telemetry.mc_schedule();
-            if cut {
-                out.truncated += 1;
+    /// Ordered by node, then group.
+    fn summaries(&self, built: &CrossBuilt) -> Vec<StateSummary> {
+        let mut v = Vec::new();
+        for id in built.net.members() {
+            let mm = built.net.actor(id).expect("member");
+            for g in mm.group_ids() {
+                v.push(mm.group(g).expect("hosted").state_summary());
             }
-            if terminal {
-                cfg.telemetry.mc_oracle_check();
-                if let Some(v) = check_terminal(&built.net) {
-                    out.violation = Some((v, path.clone()));
-                    return out;
-                }
+        }
+        v
+    }
+
+    /// Traces every hosted group's inner machine.
+    fn trace_actors(&self, built: &mut CrossBuilt, tracer: &Arc<dyn Tracer>) {
+        for id in built.net.members() {
+            let mm = built.net.actor_mut(id).expect("member");
+            for g in mm.group_ids() {
+                mm.group_mut(g)
+                    .expect("hosted")
+                    .set_tracer(Arc::clone(tracer));
             }
-            out.sample = Some(path.clone());
-            path.pop();
-            let frame = frames.last_mut().expect("frame for the popped step");
-            frame.explored.push(c);
-            frame.idx += 1;
-            dirty = true;
-        } else {
-            frames.push(Frame {
-                choices: next,
-                idx: 0,
-                sleep: child_sleep,
-                explored: Vec::new(),
-            });
         }
     }
-    out
-}
-
-/// Replays a `cross-group` schedule against a freshly built cluster with
-/// the step oracles after every applied choice and the terminal oracles
-/// if the run quiesces. Skip-on-stale-seq semantics match the
-/// single-group replayer, so ddmin minimization works unchanged.
-pub fn replay(sched: &Schedule) -> ReplayReport {
-    let mut built = build();
-    let mut report = ReplayReport {
-        applied: 0,
-        skipped: 0,
-        violation: None,
-    };
-    for &s in &sched.steps {
-        if exec_step(&mut built.net, s) {
-            report.applied += 1;
-        } else {
-            report.skipped += 1;
-            continue;
-        }
-        if let Some(v) = check_step(&built.net) {
-            report.violation = Some(v);
-            return report;
-        }
-    }
-    if built.net.pending_msgs().is_empty() && rounds_done(&built) {
-        report.violation = check_terminal(&built.net);
-    }
-    report
-}
-
-/// Per-inner-machine state summaries for postmortem bundles, ordered by
-/// node then group.
-pub fn summaries(net: &SchedNet<MultiMachine>) -> Vec<guesstimate_runtime::StateSummary> {
-    let mut v = Vec::new();
-    for id in net.members() {
-        let mm = net.actor(id).expect("member");
-        for g in mm.group_ids() {
-            v.push(mm.group(g).expect("hosted").state_summary());
-        }
-    }
-    v
-}
-
-/// [`replay`], additionally returning the summaries. The tracer plumbing
-/// of the single-group replayer does not apply (inner machines run
-/// behind the wrapper), so postmortem bundles for this preset carry
-/// state summaries with an empty causal timeline.
-pub fn replay_with_summaries(
-    sched: &Schedule,
-) -> (ReplayReport, Vec<guesstimate_runtime::StateSummary>) {
-    let mut built = build();
-    let mut report = ReplayReport {
-        applied: 0,
-        skipped: 0,
-        violation: None,
-    };
-    for &s in &sched.steps {
-        if exec_step(&mut built.net, s) {
-            report.applied += 1;
-        } else {
-            report.skipped += 1;
-            continue;
-        }
-        if let Some(v) = check_step(&built.net) {
-            report.violation = Some(v);
-            let s = summaries(&built.net);
-            return (report, s);
-        }
-    }
-    if built.net.pending_msgs().is_empty() && rounds_done(&built) {
-        report.violation = check_terminal(&built.net);
-    }
-    let s = summaries(&built.net);
-    (report, s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
 
     /// Drive the built scenario to quiescence deterministically, checking
     /// every oracle along the road — the multi-group analog of the
     /// single-group `oracles_pass_on_deterministic_runs`.
     #[test]
     fn oracles_pass_on_the_deterministic_drain() {
-        let mut built = build();
+        let scenario = CrossGroup::default();
+        let mut built = scenario.build(None);
         let mut guard = 0u32;
         loop {
             guard += 1;
@@ -637,7 +506,7 @@ mod tests {
                 built.net.deliver(seq);
                 continue;
             }
-            if rounds_done(&built) {
+            if scenario.rounds_done(&built) {
                 break;
             }
             assert!(built.net.fire_next_timer(), "drain stalled");
@@ -650,18 +519,20 @@ mod tests {
         }
     }
 
-    /// A small bounded exploration stays oracle-clean and the reduction
-    /// actually prunes.
+    /// A small bounded exploration stays oracle-clean, the reduction
+    /// actually prunes, and terminal digests are collected.
     #[test]
     fn bounded_exploration_is_clean() {
         let cfg = ExploreConfig {
             max_schedules: 300,
+            collect_digests: true,
             ..ExploreConfig::default()
         };
         let out = explore(&cfg);
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert_eq!(out.schedules, 300);
         assert!(out.pruned > 0, "the delivery reduction must prune");
+        assert!(!out.terminal_digests.is_empty());
     }
 
     /// Replay round-trips through the schedule file format.
@@ -679,8 +550,73 @@ mod tests {
             steps,
         };
         let reparsed = Schedule::from_json(&sched.to_json()).expect("well-formed");
-        let report = replay(&reparsed);
+        let report = crate::explore::replay(&reparsed, &guesstimate_core::CommuteMatrix::new())
+            .expect("known preset");
         assert!(report.violation.is_none(), "{:?}", report.violation);
         assert!(report.applied > 0);
+    }
+
+    /// `rounds` is a real knob: the first explored schedule is the
+    /// deterministic drain, which runs longer with more rounds to cover.
+    #[test]
+    fn rounds_extend_the_explored_window() {
+        let cfg = ExploreConfig {
+            max_schedules: 1,
+            max_steps: 1000,
+            ..ExploreConfig::default()
+        };
+        let three = explore_scenario(&CrossGroup { rounds: 3 }, None, &cfg).expect("no tamper");
+        let two = explore(&cfg);
+        assert!(three.violation.is_none(), "{:?}", three.violation);
+        assert_eq!((two.truncated, three.truncated), (0, 0), "drains quiesce");
+        assert!(
+            three.max_depth > two.max_depth,
+            "3 rounds: depth {}, 2 rounds: depth {}",
+            three.max_depth,
+            two.max_depth
+        );
+    }
+
+    /// A tamper block targets single-group `Msg::Ops` batches; replaying
+    /// one against this fixture fails instead of silently ignoring it.
+    #[test]
+    fn replay_rejects_a_tamper_block() {
+        let sched = Schedule {
+            preset: CROSS_GROUP.to_owned(),
+            tamper: Some(TamperSpec {
+                victim: 1,
+                nth: 1,
+                swap: (0, 1),
+            }),
+            steps: vec![crate::Step::Timer],
+        };
+        let err = crate::explore::replay(&sched, &guesstimate_core::CommuteMatrix::new())
+            .expect_err("cross-group cannot honour a tamper");
+        assert!(err.contains(CROSS_GROUP), "{err}");
+    }
+
+    /// The checked-in regression schedule replays with a flight recorder
+    /// on the driver and every inner machine, and the bundle it dumps
+    /// carries a causal timeline that `validate_postmortem` accepts.
+    #[test]
+    fn traced_replay_records_a_causal_timeline() {
+        use guesstimate_obs::{validate_postmortem, FlightRecorder};
+
+        let text = include_str!("../../../tests/schedules/cross-group-coordinated-round.json");
+        let sched = Schedule::from_json(text).expect("well-formed");
+        let recorder = Arc::new(FlightRecorder::new(4096));
+        let (report, states) = crate::explore::replay_traced(
+            &sched,
+            &guesstimate_core::CommuteMatrix::new(),
+            recorder.clone(),
+        )
+        .expect("known preset");
+        assert!(report.violation.is_none(), "{:?}", report.violation);
+        assert!(!recorder.is_empty(), "no trace events recorded");
+        assert_eq!(states.len(), 6, "3 nodes x 2 groups");
+        let bundle =
+            validate_postmortem(&recorder.dump_json("test", &states)).expect("bundle validates");
+        assert!(bundle.events > 0);
+        assert!(bundle.hb_ok, "happens-before violations in the replay");
     }
 }

@@ -160,25 +160,8 @@ impl fmt::Display for Violation {
 pub fn check_step(net: &SchedNet<Machine>, hybrid: bool) -> Option<Violation> {
     let ids = net.members();
     for &id in &ids {
-        let m = net.actor(id).expect("listed member exists");
-        if !m.check_guess_invariant() {
-            return Some(Violation::GuessInvariant { machine: id });
-        }
-        let count = m.stats().max_exec_count;
-        if count > 3 {
-            return Some(Violation::ExecBound { machine: id, count });
-        }
-        if let Some(w) = m.witness_violations().first() {
-            return Some(Violation::WitnessEscape {
-                machine: id,
-                detail: w.to_string(),
-            });
-        }
-        if let Some(v) = m.shard_violations().first() {
-            return Some(Violation::ShardEscape {
-                machine: id,
-                detail: v.to_string(),
-            });
+        if let Some(v) = check_machine(id, net.actor(id).expect("listed member exists")) {
+            return Some(v);
         }
     }
     for (i, &a) in ids.iter().enumerate() {
@@ -205,6 +188,31 @@ pub fn check_step(net: &SchedNet<Machine>, hybrid: bool) -> Option<Violation> {
         }
     }
     None
+}
+
+/// The single-machine step oracles: the guess invariant, the
+/// ≤3-executions bound, and empty witness and shard containment logs.
+/// `id` labels the violation.
+pub(crate) fn check_machine(id: MachineId, m: &Machine) -> Option<Violation> {
+    if !m.check_guess_invariant() {
+        return Some(Violation::GuessInvariant { machine: id });
+    }
+    let count = m.stats().max_exec_count;
+    if count > 3 {
+        return Some(Violation::ExecBound { machine: id, count });
+    }
+    if let Some(w) = m.witness_violations().first() {
+        return Some(Violation::WitnessEscape {
+            machine: id,
+            detail: w.to_string(),
+        });
+    }
+    m.shard_violations()
+        .first()
+        .map(|v| Violation::ShardEscape {
+            machine: id,
+            detail: v.to_string(),
+        })
 }
 
 /// True when two machines have completed the same *set* of operations
@@ -298,6 +306,20 @@ pub fn check_terminal(
 /// same committed state. On non-hybrid scenarios the two sequences
 /// coincide, so nothing is lost.
 pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
+    digest_machines(
+        net.members()
+            .into_iter()
+            .map(|id| (id, net.actor(id).expect("member"))),
+        (),
+    )
+}
+
+/// Hashes each machine's observable state as [`state_digest`] describes,
+/// then `extra` (scenario-level state beyond the machines).
+pub(crate) fn digest_machines<'a>(
+    machines: impl Iterator<Item = (MachineId, &'a Machine)>,
+    extra: impl Hash,
+) -> u64 {
     struct Fnv(u64);
     impl Hasher for Fnv {
         fn finish(&self) -> u64 {
@@ -311,8 +333,7 @@ pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
         }
     }
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-    for id in net.members() {
-        let m = net.actor(id).expect("member");
+    for (id, m) in machines {
         id.hash(&mut h);
         m.committed_digest().hash(&mut h);
         m.guess_digest().hash(&mut h);
@@ -322,6 +343,7 @@ pub fn state_digest(net: &SchedNet<Machine>) -> u64 {
         completed.hash(&mut h);
         m.in_cohort().hash(&mut h);
     }
+    extra.hash(&mut h);
     h.finish()
 }
 

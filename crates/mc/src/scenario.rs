@@ -1,4 +1,17 @@
-//! Checking scenarios: small clusters with conflicting workloads.
+//! Checking scenarios: the [`Scenario`] trait, the by-name lookup, and
+//! the single-group presets.
+//!
+//! One explorer ([`mod@crate::explore`]) serves two cluster shapes. A
+//! [`Scenario`] supplies only what differs between them: how to build the
+//! cluster, when the explored rounds are over, whether two messages to the
+//! *same* target commute, its oracles, state summaries and digest, its
+//! message-loss budget, and whether it accepts a tamper. The two
+//! implementations are [`SingleGroup`] (a [`Preset`] bound to its commute
+//! matrix, driving bare [`Machine`]s) and
+//! [`crate::multigroup::CrossGroup`] (the `cross-group` fixture, driving
+//! [`guesstimate_runtime::MultiMachine`] wrappers). [`NamedScenario`] is
+//! the lookup `mc --preset`, schedule replay and the regression suite
+//! resolve names through.
 //!
 //! A preset builds a real [`Machine`] cluster under the controlled
 //! scheduler ([`SchedNet`]), runs a **deterministic prelude** (membership
@@ -33,10 +46,63 @@ use std::sync::Arc;
 
 use guesstimate_apps::{auction, event_planner, message_board, sudoku};
 use guesstimate_core::{CommuteMatrix, MachineId, ObjectId, OpRegistry, SharedOp};
-use guesstimate_net::{SchedNet, SimTime};
-use guesstimate_runtime::{Machine, MachineConfig, Msg};
+use guesstimate_net::{Actor, PendingMsg, SchedNet, SimTime, Tracer};
+use guesstimate_runtime::commute::wire_ops_commute;
+use guesstimate_runtime::{Machine, MachineConfig, Msg, StateSummary, WireEnvelope};
 
-use crate::schedule::TamperSpec;
+use crate::explore::{explore_scenario, replay_scenario, ExploreConfig, Outcome, ReplayReport};
+use crate::multigroup::{CrossGroup, CROSS_GROUP};
+use crate::oracle::{check_step, check_terminal, state_digest, Violation};
+use crate::schedule::{Schedule, TamperSpec};
+
+/// An in-flight message of a scenario's actor type.
+pub type Pending<S> = PendingMsg<<<S as Scenario>::Actor as Actor>::Msg>;
+
+/// What one cluster shape supplies to the shared explorer (see the
+/// module docs for the split).
+pub trait Scenario {
+    /// The protocol actor the scheduler drives.
+    type Actor: Actor;
+    /// A built cluster: the scheduler plus whatever the oracles read.
+    type Built;
+
+    /// The name schedule files and `mc --preset` use.
+    fn name(&self) -> &'static str;
+    /// Builds the cluster, runs the deterministic prelude and injects the
+    /// workload. `tamper` is only ever `Some` when
+    /// [`Scenario::accepts_tamper`] holds.
+    fn build(&self, tamper: Option<TamperSpec>) -> Self::Built;
+    /// The scheduler inside a built cluster.
+    fn net(built: &Self::Built) -> &SchedNet<Self::Actor>;
+    /// The scheduler inside a built cluster, mutably.
+    fn net_mut(built: &mut Self::Built) -> &mut SchedNet<Self::Actor>;
+    /// How many messages the explorer may drop per schedule.
+    fn drop_budget(&self) -> u32;
+    /// Whether a seeded mutation ([`TamperSpec`]) means anything here.
+    fn accepts_tamper(&self) -> bool;
+    /// True once the explored rounds are over: with nothing in flight,
+    /// the state is terminal.
+    fn rounds_done(&self, built: &Self::Built) -> bool;
+    /// Whether delivering two in-flight messages to the **same** target
+    /// in either order reaches the same state. (Deliveries to different
+    /// targets are always independent; the explorer decides those.)
+    fn same_target_independent(
+        &self,
+        built: &Self::Built,
+        a: &Pending<Self>,
+        b: &Pending<Self>,
+    ) -> bool;
+    /// The oracles run after every applied step.
+    fn check_step(&self, built: &Self::Built) -> Option<Violation>;
+    /// The oracles run once a schedule quiesces.
+    fn check_terminal(&self, built: &Self::Built) -> Option<Violation>;
+    /// A digest of the observable cluster state (for soundness tests).
+    fn state_digest(&self, built: &Self::Built) -> u64;
+    /// Per-machine state summaries for postmortem bundles.
+    fn summaries(&self, built: &Self::Built) -> Vec<StateSummary>;
+    /// Installs `tracer` on every protocol machine currently admitted.
+    fn trace_actors(&self, built: &mut Self::Built, tracer: &Arc<dyn Tracer>);
+}
 
 /// Fixture for the `sneaky` negative preset: a two-slot map whose
 /// `mirror` method deliberately **under-declares** its footprint — it
@@ -331,15 +397,14 @@ pub const MISKEYED: Preset = Preset {
     blurb: "negative test: mis-keyed shard plan the shard-escape oracle must catch",
 };
 
+/// The hidden negative presets: each violates an oracle by design, so
+/// their schedules must keep reproducing a violation.
+pub const NEGATIVE: &[Preset] = &[SNEAKY, MISKEYED];
+
 impl Preset {
-    /// Looks up a preset by name ([`PRESETS`] plus the hidden [`SNEAKY`]
-    /// and [`MISKEYED`] negative presets).
+    /// Looks up a preset by name ([`PRESETS`] plus the [`NEGATIVE`] ones).
     pub fn by_name(name: &str) -> Option<&'static Preset> {
-        PRESETS
-            .iter()
-            .find(|p| p.name == name)
-            .or((SNEAKY.name == name).then_some(&SNEAKY))
-            .or((MISKEYED.name == name).then_some(&MISKEYED))
+        PRESETS.iter().chain(NEGATIVE).find(|p| p.name == name)
     }
 
     /// Total machines once the staged joiner (if any) is admitted.
@@ -661,6 +726,256 @@ pub struct Built {
     pub base_rounds: u64,
     /// The staged joiner's choice seq, if the preset has a late join.
     pub join_choice: Option<u64>,
+}
+
+/// A [`Preset`] bound to the commute matrix it runs under: the
+/// single-group [`Scenario`].
+#[derive(Debug, Clone)]
+pub struct SingleGroup {
+    /// The preset.
+    pub preset: Preset,
+    /// The preset's [`Preset::effective_matrix`], resolved once so the
+    /// reduction and the machines' own classification read the same pairs.
+    pub matrix: CommuteMatrix,
+}
+
+impl SingleGroup {
+    /// Binds `preset` to `given` extended with the preset's baseline pairs.
+    pub fn new(preset: &Preset, given: &CommuteMatrix) -> Self {
+        SingleGroup {
+            preset: *preset,
+            matrix: preset.effective_matrix(given),
+        }
+    }
+}
+
+impl Scenario for SingleGroup {
+    type Actor = Machine;
+    type Built = Built;
+
+    fn name(&self) -> &'static str {
+        self.preset.name
+    }
+
+    fn build(&self, tamper: Option<TamperSpec>) -> Built {
+        self.preset.build(&self.matrix, tamper)
+    }
+
+    fn net(built: &Built) -> &SchedNet<Machine> {
+        &built.net
+    }
+
+    fn net_mut(built: &mut Built) -> &mut SchedNet<Machine> {
+        &mut built.net
+    }
+
+    fn drop_budget(&self) -> u32 {
+        self.preset.drop_budget
+    }
+
+    fn accepts_tamper(&self) -> bool {
+        true
+    }
+
+    fn rounds_done(&self, built: &Built) -> bool {
+        let master = built.net.actor(MachineId::new(0)).expect("master");
+        master.stats().syncs_seen >= built.base_rounds + self.preset.rounds
+    }
+
+    /// Same-target deliveries commute iff both are `Msg::Ops` batches of
+    /// the same round from different senders, or `Msg::AsyncOp`s from
+    /// different senders, or one of each from different senders — and
+    /// every cross-pair of the envelopes they apply commutes per
+    /// [`wire_ops_commute`] (see `explore`'s module docs).
+    fn same_target_independent(
+        &self,
+        built: &Built,
+        px: &Pending<Self>,
+        py: &Pending<Self>,
+    ) -> bool {
+        let Some(target) = built.net.actor(px.to) else {
+            return false;
+        };
+        let type_of = |oid| target.object_type(oid).map(str::to_owned);
+        let commute = |ea: &WireEnvelope, eb: &WireEnvelope| {
+            wire_ops_commute(&built.registry, &self.matrix, &type_of, &ea.op, &eb.op)
+        };
+        // Envelopes a message applies (or stages) at the receiver:
+        // serialized batch plus the piggybacked async window for Ops,
+        // the single envelope for a standalone AsyncOp.
+        match (&px.msg, &py.msg) {
+            (
+                Msg::Ops {
+                    round: ra,
+                    machine: sa,
+                    ops: oa,
+                    asyncs: aa,
+                },
+                Msg::Ops {
+                    round: rb,
+                    machine: sb,
+                    ops: ob,
+                    asyncs: ab,
+                },
+            ) => {
+                if ra != rb || sa == sb {
+                    return false;
+                }
+                let ea = oa.iter().chain(aa.iter().map(|(_, e)| e));
+                ea.clone().all(|a| {
+                    ob.iter()
+                        .chain(ab.iter().map(|(_, e)| e))
+                        .all(|b| commute(a, b))
+                })
+            }
+            (Msg::AsyncOp { env: ea, .. }, Msg::AsyncOp { env: eb, .. }) => {
+                // Same-sender AsyncOps share an arrival-order slot.
+                px.from != py.from && commute(ea, eb)
+            }
+            (
+                Msg::AsyncOp { env, .. },
+                Msg::Ops {
+                    machine,
+                    ops,
+                    asyncs,
+                    ..
+                },
+            )
+            | (
+                Msg::Ops {
+                    machine,
+                    ops,
+                    asyncs,
+                    ..
+                },
+                Msg::AsyncOp { env, .. },
+            ) => {
+                // The async op must commute with both the ops the
+                // round will apply and the piggybacked window; a flush
+                // from the async op's own sender shares its slot.
+                let sender = if matches!(&px.msg, Msg::AsyncOp { .. }) {
+                    px.from
+                } else {
+                    py.from
+                };
+                sender != *machine
+                    && ops
+                        .iter()
+                        .chain(asyncs.iter().map(|(_, e)| e))
+                        .all(|b| commute(env, b))
+            }
+            _ => false,
+        }
+    }
+
+    fn check_step(&self, built: &Built) -> Option<Violation> {
+        check_step(&built.net, self.preset.hybrid)
+    }
+
+    fn check_terminal(&self, built: &Built) -> Option<Violation> {
+        check_terminal(&built.net, &built.registry, self.preset.total_machines())
+    }
+
+    fn state_digest(&self, built: &Built) -> u64 {
+        state_digest(&built.net)
+    }
+
+    fn summaries(&self, built: &Built) -> Vec<StateSummary> {
+        built
+            .net
+            .members()
+            .into_iter()
+            .filter_map(|id| built.net.actor(id))
+            .map(Machine::state_summary)
+            .collect()
+    }
+
+    fn trace_actors(&self, built: &mut Built, tracer: &Arc<dyn Tracer>) {
+        for id in built.net.members() {
+            if let Some(m) = built.net.actor_mut(id) {
+                m.set_tracer(tracer.clone());
+            }
+        }
+    }
+}
+
+/// A scenario looked up by name: what `mc --preset`, schedule replay and
+/// the regression suite resolve.
+#[derive(Debug, Clone, Copy)]
+pub enum NamedScenario {
+    /// A single-group [`Preset`] (bound to a matrix when run).
+    Single(Preset),
+    /// The multi-group `cross-group` fixture.
+    Cross(CrossGroup),
+}
+
+impl NamedScenario {
+    /// Resolves [`PRESETS`], the [`NEGATIVE`] presets and [`CROSS_GROUP`].
+    pub fn by_name(name: &str) -> Option<Self> {
+        if name == CROSS_GROUP {
+            return Some(NamedScenario::Cross(CrossGroup::default()));
+        }
+        Preset::by_name(name).map(|p| NamedScenario::Single(*p))
+    }
+
+    /// The scenario's name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            NamedScenario::Single(p) => p.name,
+            NamedScenario::Cross(_) => CROSS_GROUP,
+        }
+    }
+
+    /// True for the [`NEGATIVE`] presets, which violate by design.
+    pub fn is_negative(&self) -> bool {
+        NEGATIVE.iter().any(|p| p.name == self.name())
+    }
+
+    /// Overrides the rounds explored beyond the prelude.
+    pub fn set_rounds(&mut self, rounds: u64) {
+        match self {
+            NamedScenario::Single(p) => p.rounds = rounds,
+            NamedScenario::Cross(c) => c.rounds = rounds,
+        }
+    }
+
+    /// Explores the scenario (see [`explore_scenario`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` when `tamper` is given to a scenario that does not
+    /// accept one.
+    pub fn explore(
+        &self,
+        matrix: &CommuteMatrix,
+        tamper: Option<TamperSpec>,
+        cfg: &ExploreConfig,
+    ) -> Result<Outcome, String> {
+        match self {
+            NamedScenario::Single(p) => explore_scenario(&SingleGroup::new(p, matrix), tamper, cfg),
+            NamedScenario::Cross(c) => explore_scenario(c, tamper, cfg),
+        }
+    }
+
+    /// Replays `sched` (see [`replay_scenario`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` when the schedule carries a tamper block the
+    /// scenario does not accept.
+    pub fn replay(
+        &self,
+        sched: &Schedule,
+        matrix: &CommuteMatrix,
+        tracer: Option<Arc<dyn Tracer>>,
+    ) -> Result<(ReplayReport, Vec<StateSummary>), String> {
+        match self {
+            NamedScenario::Single(p) => {
+                replay_scenario(&SingleGroup::new(p, matrix), sched, tracer)
+            }
+            NamedScenario::Cross(c) => replay_scenario(c, sched, tracer),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,38 +1,36 @@
 # Developer workflow. Run `just check` before sending a change.
 
-# Everything CI would run, in order.
-check: fmt clippy doc test analyze shards mc-smoke bench-snapshot bench-shards
+# Everything CI's check step runs, in order: scripts/check.sh is the one
+# list of gates; the per-step targets below call single steps of it.
+check:
+    ./scripts/check.sh
 
 # Formatting gate (no writes).
 fmt:
-    cargo fmt --all --check
+    ./scripts/check.sh fmt
 
 # Lint gate: the whole workspace, tests and bins included, warnings fatal.
 clippy:
-    cargo clippy --workspace --all-targets -- -D warnings
+    ./scripts/check.sh clippy
 
-# Doc gate: rustdoc warnings (broken intra-doc links, missing docs on the
-# public protocol surface) are fatal.
+# Doc gate: rustdoc warnings are fatal.
 doc:
-    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+    ./scripts/check.sh doc
 
 # The full test suite (unit + integration + doctests, every crate).
 test:
-    cargo test --workspace -q
+    ./scripts/check.sh tests
 
 # Effect-analysis lint: conflict matrices for all six apps; any undeclared
 # effect, footprint under-approximation, nondeterminism, or witness-refuted
 # footprint (undeclared read/write) is fatal.
 analyze:
-    cargo run -q -p guesstimate-analysis --bin analyze
+    ./scripts/check.sh analyze
 
 # Shard-plan gate: derive + sanitize + witness-check every app's ShardPlan
-# and archive it, then re-derive and require the archive byte-identical
-# (deterministic derivation; docs/ANALYSIS.md "Shard plans").
+# twice and require byte-identical archives (docs/ANALYSIS.md "Shard plans").
 shards:
-    cargo run -q -p guesstimate-analysis --bin analyze -- --shard-plan --json target/shard_plans.json
-    cargo run -q -p guesstimate-analysis --bin analyze -- --shard-plan --json target/shard_plans_again.json > /dev/null
-    cmp target/shard_plans.json target/shard_plans_again.json
+    ./scripts/check.sh shards
 
 # Effect-witness soundness, all three layers (docs/ANALYSIS.md "Soundness"):
 # the analyzer's witness sanitizer over the six apps, the core witness
@@ -41,34 +39,32 @@ shards:
 # the same three layers for shard plans (static sanitizer + witness escape
 # check in `shards`, the runtime shard-containment tests, and the mc
 # mis-keyed-preset detection + shrink regression).
-sanitize: shards
-    cargo run -q -p guesstimate-analysis --bin analyze
+sanitize:
+    ./scripts/check.sh shards analyze
     cargo test -q -p guesstimate-core witness
     cargo test -q -p guesstimate-runtime undeclared_read
     cargo test -q --test mc_regressions under_declared_read
     cargo test -q -p guesstimate-runtime shard
     cargo test -q --test mc_regressions mis_keyed
 
-# Model-checker smoke: a quick bounded exploration of every preset
-# (debug build, small budget) — catches oracle violations early. The
-# cross-group preset runs separately: it explores a multi-group cluster
-# shape with its own oracles, so `all` does not include it.
+# Model-checker smoke: a quick bounded exploration of every single-group
+# preset and of the multi-group cross-group scenario (debug build, small
+# budget) — catches oracle violations early.
 mc-smoke:
-    cargo run -q -p guesstimate-mc --bin mc -- --preset all --max-schedules 400
-    cargo run -q -p guesstimate-mc --bin mc -- --preset cross-group --max-schedules 400
+    ./scripts/check.sh mc_smoke
 
 # Telemetry smoke: fixed-seed fig5 with metrics + spans + exporters on;
 # validates the observability invariants and artifact well-formedness,
 # and refreshes BENCH_pr4.json (docs/OBSERVABILITY.md).
 bench-snapshot:
-    ./scripts/bench_snapshot.sh
+    ./scripts/check.sh bench_snapshot
 
 # Shard-scaling gate: fixed-seed multi-group run over ThreadedNet at
 # 1/2/4/8 sync groups; validates per-group stage partitioning and the
 # >= 2.5x 4-group throughput gate, and refreshes BENCH_pr10.json
 # (docs/PROTOCOL.md "Multi-group synchronization").
 bench-shards:
-    ./scripts/bench_shards.sh
+    ./scripts/check.sh bench_shards
 
 # Causal cluster report: run fig5 (short, traced) and then the obs
 # report binary over its trace + spans — the merged happens-before
@@ -80,14 +76,9 @@ obs:
 
 # The CI model-checking gate: release build, full budget, with the
 # validated commute matrix from the effect analysis; requires >= 10k
-# schedules per preset and >= 30% pruning from the reduction.
+# schedules per scenario and >= 30% pruning from the reduction.
 mc:
-    cargo run -q -p guesstimate-analysis --bin analyze -- --json target/analysis.json > /dev/null
-    cargo run --release -q -p guesstimate-mc --bin mc -- --preset all \
-        --matrix target/analysis.json --max-schedules 12000 \
-        --min-schedules 10000 --min-prune 0.30
-    cargo run --release -q -p guesstimate-mc --bin mc -- --preset cross-group \
-        --max-schedules 12000 --min-schedules 10000
+    ./scripts/mc_gate.sh
 
 # Tier-1 smoke: what the release gate runs.
 tier1:

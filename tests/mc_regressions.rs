@@ -5,14 +5,15 @@
 //! tamper block are interesting interleavings (message loss, late join,
 //! cross-machine reorderings) that once exercised tricky protocol paths:
 //! replaying them must stay oracle-clean. Schedules *with* a tamper block
-//! — or recorded against a hidden negative preset (one absent from
-//! [`guesstimate_mc::PRESETS`], such as `miskeyed`) — are repros:
-//! replaying them must still produce a deterministic oracle violation,
-//! proving the checker's detection power has not regressed.
+//! — or recorded against a negative preset ([`guesstimate_mc::NEGATIVE`],
+//! such as `miskeyed`) — are repros: replaying them must still produce a
+//! deterministic oracle violation, proving the checker's detection power
+//! has not regressed.
 
 use guesstimate_core::CommuteMatrix;
 use guesstimate_mc::{
-    explore, minimize, replay, ExploreConfig, Preset, Schedule, Step, TamperSpec, Violation,
+    explore, minimize, replay, ExploreConfig, NamedScenario, Preset, Scenario, Schedule, Step,
+    TamperSpec, Violation,
 };
 
 fn schedule_files() -> Vec<std::path::PathBuf> {
@@ -34,13 +35,9 @@ fn checked_in_schedules_replay_as_recorded() {
         let text = std::fs::read_to_string(&path).expect("schedule file readable");
         let sched = Schedule::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         let report = replay(&sched, &matrix).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        // `cross-group` lives outside PRESETS (it explores a different
-        // cluster shape) but is a positive preset: its schedules must
-        // replay clean.
-        let negative_preset = sched.preset != guesstimate_mc::CROSS_GROUP
-            && guesstimate_mc::PRESETS
-                .iter()
-                .all(|p| p.name != sched.preset);
+        let negative_preset = NamedScenario::by_name(&sched.preset)
+            .expect("replay resolved the preset")
+            .is_negative();
         if sched.tamper.is_some() || negative_preset {
             assert!(
                 report.violation.is_some(),
@@ -241,12 +238,15 @@ fn generate_miskeyed_shard_escape_schedule() {
 #[ignore = "generator for the checked-in async-gap schedule"]
 fn generate_message_board_async_gap_schedule() {
     use guesstimate_core::MachineId;
+    use guesstimate_mc::SingleGroup;
     use guesstimate_runtime::Msg;
 
-    let preset = *Preset::by_name("message_board").expect("built-in preset");
     let matrix = CommuteMatrix::new();
-    let effective = preset.effective_matrix(&matrix);
-    let mut built = preset.build(&effective, None);
+    let scenario = SingleGroup::new(
+        Preset::by_name("message_board").expect("built-in preset"),
+        &matrix,
+    );
+    let mut built = scenario.build(None);
     let mut steps = Vec::new();
 
     let mut gap: Vec<(u64, u64)> = built
@@ -273,7 +273,6 @@ fn generate_message_board_async_gap_schedule() {
         steps.push(Step::Deliver(seq));
     }
 
-    let rounds_target = built.base_rounds + preset.rounds;
     let mut guard = 0u32;
     loop {
         guard += 1;
@@ -283,8 +282,7 @@ fn generate_message_board_async_gap_schedule() {
             steps.push(Step::Deliver(seq));
             continue;
         }
-        let master = built.net.actor(MachineId::new(0)).expect("master");
-        if master.stats().syncs_seen >= rounds_target {
+        if scenario.rounds_done(&built) {
             break;
         }
         assert!(built.net.fire_next_timer(), "drain stalled");
@@ -292,7 +290,7 @@ fn generate_message_board_async_gap_schedule() {
     }
 
     let sched = Schedule {
-        preset: preset.name.to_owned(),
+        preset: scenario.name().to_owned(),
         tamper: None,
         steps,
     };
@@ -312,44 +310,34 @@ fn generate_message_board_async_gap_schedule() {
 #[test]
 #[ignore = "generator for the checked-in cross-group schedule"]
 fn generate_cross_group_coordinated_round_schedule() {
-    use guesstimate_mc::multigroup;
-
-    let mut built = multigroup::build();
+    let scenario = guesstimate_mc::CrossGroup::default();
+    let mut built = scenario.build(None);
     let mut steps = Vec::new();
     let mut guard = 0u32;
     loop {
         guard += 1;
         assert!(guard < 100_000, "drain failed to converge");
-        assert_eq!(multigroup::check_step(&built.net), None);
+        assert_eq!(scenario.check_step(&built), None);
         let pending = built.net.pending_msgs();
         if let Some(&seq) = pending.last() {
             assert!(built.net.deliver(seq));
             steps.push(Step::Deliver(seq));
             continue;
         }
-        let node0 = built
-            .net
-            .actor(guesstimate_core::MachineId::new(0))
-            .expect("node 0");
-        let rounds_done = built.base_rounds.iter().all(|(&g, &base)| {
-            node0
-                .group(g)
-                .is_some_and(|m| m.stats().syncs_seen >= base + 2)
-        });
-        if rounds_done && node0.cross_resolved() == 1 {
+        if scenario.rounds_done(&built) {
             break;
         }
         assert!(built.net.fire_next_timer(), "drain stalled");
         steps.push(Step::Timer);
     }
-    assert_eq!(multigroup::check_terminal(&built.net), None);
+    assert_eq!(scenario.check_terminal(&built), None);
 
     let sched = Schedule {
-        preset: guesstimate_mc::CROSS_GROUP.to_owned(),
+        preset: scenario.name().to_owned(),
         tamper: None,
         steps,
     };
-    let report = replay(&sched, &CommuteMatrix::new()).expect("dispatches to multigroup");
+    let report = replay(&sched, &CommuteMatrix::new()).expect("known preset");
     assert!(report.violation.is_none(), "{:?}", report.violation);
     println!("{}", sched.to_json());
 }
