@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Default mode explores each selected preset within the schedule
-//! budget, printing explored/pruned counts and the prune ratio. `all`
+//! budget, printing explored/pruned counts and the prune ratio, then a
+//! second line with the wall time, the schedules per second, and whether
+//! the tree was exhausted or the budget ran out first. `all`
 //! selects the single-group presets; the multi-group `cross-group`
 //! scenario runs through the same reporting loop when named. On an
 //! oracle violation the offending schedule is minimized, written as a
@@ -34,6 +36,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use guesstimate_analysis::matrices_from_json;
 use guesstimate_core::CommuteMatrix;
@@ -254,7 +257,9 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
             scenario.set_rounds(r);
         }
         let name = scenario.name();
+        let started = Instant::now();
         let out = scenario.explore(&args.matrix, args.tamper, &args.cfg)?;
+        let secs = started.elapsed().as_secs_f64();
         let ratio = out.pruned as f64 / (out.pruned + out.schedules).max(1) as f64;
         println!(
             "{:<14} schedules {:>7}  pruned {:>7} ({:>5.1}%)  truncated {:>5}  max depth {:>3}  steps {:>9}{}",
@@ -266,6 +271,18 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
             out.max_depth,
             out.steps_executed,
             if out.complete { "  (exhausted)" } else { "" },
+        );
+        let coverage = if out.violation.is_some() {
+            "stopped at a violation"
+        } else if out.complete {
+            "tree exhausted"
+        } else {
+            "budget reached before the tree was exhausted"
+        };
+        println!(
+            "{:<14} {secs:.2} s, {:.0} schedules/s; {coverage}",
+            name,
+            out.schedules as f64 / secs.max(1e-9),
         );
 
         if let Some((violation, steps)) = out.violation {

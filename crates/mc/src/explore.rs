@@ -1,15 +1,24 @@
-//! Stateless depth-first exploration with sleep-set partial-order
-//! reduction — one explorer for every [`Scenario`].
+//! Depth-first exploration with snapshot backtracking and sleep-set
+//! partial-order reduction — one explorer for every [`Scenario`].
 //!
 //! The explorer enumerates schedules of a scenario's post-prelude
 //! cluster. Each tree node is a scheduler state; its outgoing edges are
 //! the **enabled choices**: deliver any in-flight message, drop one
 //! (while the scenario's loss budget lasts), and — in quiet phases — admit
-//! a staged joiner or fire the earliest timer. Machines are not
-//! clonable (completions are closures), so backtracking is *stateless*:
-//! the cluster is rebuilt from the scenario and the current path prefix is
-//! replayed. The prelude and every step are deterministic, so replay
-//! reproduces the node exactly.
+//! a staged joiner or fire the earliest timer.
+//!
+//! ## Snapshot backtracking
+//!
+//! The built cluster is clonable ([`Scenario::Built`]; the scheduler,
+//! its actors and its tamper hook all fork), so every step the explorer
+//! executes is a new tree edge: it never rebuilds the cluster or replays
+//! a prefix. A node keeps a snapshot of its state only where a backtrack
+//! will return to it — when it has at least two **live** choices (not in
+//! its sleep set, which is fixed when the node is entered). Its first
+//! live choice runs on the state it was entered with; each later one
+//! restores a clone of the snapshot, and the last one moves the snapshot
+//! out instead of cloning it. A node with one live choice is left
+//! without being revisited, so it stores nothing.
 //!
 //! Everything here is generic over the scenario and monomorphised over
 //! its actor type: the single-group presets ([`SingleGroup`]) and the
@@ -65,7 +74,8 @@
 //! empirically: reordering independent deliveries can renumber messages
 //! *created afterwards*, so sleep-set hits are matched on the choice
 //! identity at this node, which the deterministic seq assignment makes
-//! stable across replays of the same prefix.
+//! stable across every way of reaching it (a restored snapshot or a
+//! replayed prefix).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -118,7 +128,8 @@ pub struct Outcome {
     pub truncated: u64,
     /// Deepest schedule seen.
     pub max_depth: usize,
-    /// Total scheduler steps executed (including backtrack replays).
+    /// Scheduler steps executed: one per explored tree edge. Backtracking
+    /// restores a snapshot, so no step is executed twice.
     pub steps_executed: u64,
     /// Digests of terminal states (when `collect_digests`).
     pub terminal_digests: BTreeSet<u64>,
@@ -130,13 +141,41 @@ pub struct Outcome {
     pub sample: Option<Vec<Step>>,
     /// The first oracle violation and the schedule that reached it.
     pub violation: Option<(Violation, Vec<Step>)>,
+    /// Every complete schedule with a fingerprint of the state it ended
+    /// in, for the equivalence test against fresh replay.
+    #[cfg(test)]
+    ends: Vec<(Vec<Step>, u64)>,
 }
 
-struct Frame {
+/// One tree node on the current DFS path.
+struct Frame<B> {
     choices: Vec<Step>,
     idx: usize,
     sleep: Vec<Step>,
     explored: Vec<Step>,
+    /// Live choices (not asleep) not yet executed.
+    live_left: usize,
+    /// The node's cluster state, held while a later live choice still
+    /// has to restore it (see the module docs).
+    snapshot: Option<B>,
+}
+
+impl<B: Clone> Frame<B> {
+    /// Enters the node `built` is at.
+    fn new(choices: Vec<Step>, sleep: Vec<Step>, reduction: bool, built: &B) -> Self {
+        let live_left = choices
+            .iter()
+            .filter(|c| !(reduction && sleep.contains(c)))
+            .count();
+        Frame {
+            snapshot: (live_left >= 2).then(|| built.clone()),
+            choices,
+            idx: 0,
+            sleep,
+            explored: Vec::new(),
+            live_left,
+        }
+    }
 }
 
 /// Executes one choice against the cluster. Returns false if the choice
@@ -232,15 +271,16 @@ pub fn explore_scenario<S: Scenario>(
     let mut out = Outcome::default();
     let mut built = s.build(tamper);
     let mut path: Vec<Step> = Vec::new();
-    let mut frames = vec![Frame {
-        choices: enabled(s, &built, 0),
-        idx: 0,
-        sleep: Vec::new(),
-        explored: Vec::new(),
-    }];
+    let mut frames = vec![Frame::new(
+        enabled(s, &built, 0),
+        Vec::new(),
+        cfg.reduction,
+        &built,
+    )];
     let mut drops_used = 0u32;
     // Set when the cluster state has moved past the node the top frame
-    // describes (after any backtrack): rebuild + replay before executing.
+    // describes (after any backtrack): restore its snapshot before
+    // executing.
     let mut dirty = false;
 
     while out.schedules < cfg.max_schedules {
@@ -274,15 +314,14 @@ pub fn explore_scenario<S: Scenario>(
             cfg.telemetry.mc_pruned();
             continue;
         }
+        frame.live_left -= 1;
         if dirty {
-            built = s.build(tamper);
-            for &step in &path {
-                assert!(
-                    exec_step(S::net_mut(&mut built), step),
-                    "replaying {step} of a known prefix"
-                );
-                out.steps_executed += 1;
-            }
+            let snapshot = if frame.live_left == 0 {
+                frame.snapshot.take()
+            } else {
+                frame.snapshot.clone()
+            };
+            built = snapshot.expect("a node revisited for a later live choice keeps its snapshot");
             dirty = false;
         }
         // The child's sleep set must be computed *before* executing `c`:
@@ -331,6 +370,8 @@ pub fn explore_scenario<S: Scenario>(
             if cfg.collect_digests {
                 out.terminal_digests.insert(s.state_digest(&built));
             }
+            #[cfg(test)]
+            out.ends.push((path.clone(), tests::fingerprint(s, &built)));
             out.sample = Some(path.clone());
             path.pop();
             if matches!(c, Step::Drop(_)) {
@@ -341,12 +382,7 @@ pub fn explore_scenario<S: Scenario>(
             frame.idx += 1;
             dirty = true;
         } else {
-            frames.push(Frame {
-                choices: next,
-                idx: 0,
-                sleep: child_sleep,
-                explored: Vec::new(),
-            });
+            frames.push(Frame::new(next, child_sleep, cfg.reduction, &built));
         }
     }
     Ok(out)
@@ -420,6 +456,16 @@ pub fn replay_scenario<S: Scenario>(
     sched: &Schedule,
     tracer: Option<Arc<dyn Tracer>>,
 ) -> Result<(ReplayReport, Vec<StateSummary>), String> {
+    let (report, built) = replay_built(s, sched, tracer)?;
+    Ok((report, s.summaries(&built)))
+}
+
+/// [`replay_scenario`], returning the final cluster itself.
+fn replay_built<S: Scenario>(
+    s: &S,
+    sched: &Schedule,
+    tracer: Option<Arc<dyn Tracer>>,
+) -> Result<(ReplayReport, S::Built), String> {
     check_tamper(s, sched.tamper)?;
     let mut built = s.build(sched.tamper);
     if let Some(t) = tracer {
@@ -439,18 +485,113 @@ pub fn replay_scenario<S: Scenario>(
         report.applied += 1;
         if let Some(v) = s.check_step(&built) {
             report.violation = Some(v);
-            return Ok((report, s.summaries(&built)));
+            return Ok((report, built));
         }
     }
     if S::net(&built).pending_msgs().is_empty() && s.rounds_done(&built) {
         report.violation = s.check_terminal(&built);
     }
-    Ok((report, s.summaries(&built)))
+    Ok((report, built))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multigroup::CrossGroup;
+
+    /// What a forked cluster must reproduce: the scenario's state digest,
+    /// plus the scheduler state and per-machine summaries it does not
+    /// hash (seq and stamp allocation show in the metrics and pending
+    /// sets, restarts and rounds in the summaries).
+    pub(super) fn fingerprint<S: Scenario>(s: &S, built: &S::Built) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let net = S::net(built);
+        let seen = format!(
+            "{:?}",
+            (
+                s.summaries(built),
+                net.metrics(),
+                net.now(),
+                net.pending_msgs(),
+                net.pending_joins(),
+                net.next_timer_due(),
+            )
+        );
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (s.state_digest(built), seen).hash(&mut h);
+        h.finish()
+    }
+
+    /// Every schedule the snapshot-restoring explorer completes ends in
+    /// the state a fresh build reaches by replaying that schedule.
+    ///
+    /// A budgeted DFS only backtracks near its leaves, so one walk would
+    /// restore snapshots from a thin band of depths. The tree is instead
+    /// walked once per cut depth 5, 11, …, 95, with a small budget each:
+    /// together the walks restore nodes at every depth — from build-time
+    /// state near the root (a staged joiner, injected in-flight messages)
+    /// to mid-run state (fenced groups, async reorder buffers).
+    fn ends_match_fresh_replay<S: Scenario>(s: &S) {
+        for max_steps in (5..ExploreConfig::default().max_steps).step_by(6) {
+            let cfg = ExploreConfig {
+                max_schedules: 30,
+                max_steps,
+                ..ExploreConfig::default()
+            };
+            let out = explore_scenario(s, None, &cfg).expect("no tamper");
+            assert!(out.violation.is_none(), "{:?}", out.violation);
+            assert!(
+                out.schedules == cfg.max_schedules || out.complete,
+                "{} cut at {max_steps}: stopped after {} schedules",
+                s.name(),
+                out.schedules,
+            );
+            assert_eq!(out.ends.len() as u64, out.schedules);
+            for (steps, want) in out.ends {
+                let sched = Schedule {
+                    preset: s.name().to_owned(),
+                    tamper: None,
+                    steps,
+                };
+                let (report, built) = replay_built(s, &sched, None).expect("no tamper");
+                assert_eq!(report.skipped, 0, "{}: {:?}", s.name(), sched.steps);
+                assert!(report.violation.is_none(), "{:?}", report.violation);
+                assert_eq!(
+                    fingerprint(s, &built),
+                    want,
+                    "{}: fresh replay of {:?} ends elsewhere",
+                    s.name(),
+                    sched.steps
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_match_fresh_replay_on_sudoku() {
+        let p = Preset::by_name("sudoku").unwrap();
+        ends_match_fresh_replay(&SingleGroup::new(p, &CommuteMatrix::new()));
+    }
+
+    /// The late joiner's admission is a choice point: staged joins fork.
+    #[test]
+    fn snapshots_match_fresh_replay_on_auction() {
+        let p = Preset::by_name("auction").unwrap();
+        ends_match_fresh_replay(&SingleGroup::new(p, &CommuteMatrix::new()));
+    }
+
+    /// Hybrid and lossy: async watermarks and reorder buffers fork.
+    #[test]
+    fn snapshots_match_fresh_replay_on_message_board() {
+        let p = Preset::by_name("message_board").unwrap();
+        ends_match_fresh_replay(&SingleGroup::new(p, &CommuteMatrix::new()));
+    }
+
+    /// Cross fences, buffered events and coordinator state fork.
+    #[test]
+    fn snapshots_match_fresh_replay_on_cross_group() {
+        ends_match_fresh_replay(&CrossGroup::default());
+    }
 
     fn small_cfg(reduction: bool) -> ExploreConfig {
         ExploreConfig {

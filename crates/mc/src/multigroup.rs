@@ -179,7 +179,7 @@ pub fn plan() -> Arc<ShardPlan> {
 }
 
 /// The built cross-group scenario, ready for exploration or replay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CrossBuilt {
     /// The multi-group cluster under the controlled scheduler.
     pub net: SchedNet<MultiMachine>,

@@ -64,7 +64,9 @@ pub trait Scenario {
     /// The protocol actor the scheduler drives.
     type Actor: Actor;
     /// A built cluster: the scheduler plus whatever the oracles read.
-    type Built;
+    /// The explorer backtracks by restoring clones of it, so a clone must
+    /// fork the cluster faithfully (see [`SchedNet`]'s `Clone`).
+    type Built: Clone;
 
     /// The name schedule files and `mc --preset` use.
     fn name(&self) -> &'static str;
@@ -715,7 +717,7 @@ impl Preset {
 }
 
 /// A built scenario, ready for exploration or replay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Built {
     /// The cluster under the controlled scheduler.
     pub net: SchedNet<Machine>,

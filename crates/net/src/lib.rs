@@ -95,7 +95,7 @@ pub use channel::Channel;
 pub use fault::{FaultEvent, FaultPlan, PartitionWindow, StallWindow};
 pub use latency::LatencyModel;
 pub use metrics::NetMetrics;
-pub use sched::{PendingMsg, SchedNet, TamperHook};
+pub use sched::{PendingMsg, SchedNet, TamperFn, TamperHook};
 pub use sim::{NetConfig, SimNet};
 pub use threaded::{ThreadedHandle, ThreadedNet};
 pub use time::SimTime;

@@ -23,9 +23,11 @@
 //!
 //! A model checker drives this as a tree walk: the set of pending
 //! sequence numbers (plus staged joins and the next timer) is the enabled
-//! set at the current node, and replaying a recorded sequence of choices
-//! from a fresh `SchedNet` reconstructs any visited state — sequence
-//! numbers are deterministic, so recorded schedules replay verbatim.
+//! set at the current node. A `SchedNet` of clonable actors is itself
+//! [`Clone`], so the walk forks the mesh at a branch point and backtracks
+//! by restoring the fork. Sequence numbers are deterministic, so a
+//! recorded sequence of choices replayed from a fresh `SchedNet` reaches
+//! the same state — which is how schedule files replay verbatim.
 //!
 //! The optional [tamper hook](SchedNet::set_tamper) mutates a message at
 //! the moment of delivery. The model checker's seeded-mutation test uses
@@ -70,10 +72,47 @@ struct TimerKey {
 
 /// Mutates a message as it is delivered; returns `true` if it changed
 /// anything. Arguments: delivery seq, sender, receiver, payload.
-pub type TamperHook<M> = Box<dyn FnMut(u64, MachineId, MachineId, &mut M) -> bool + Send>;
+///
+/// Blanket-implemented for every clonable closure of that shape, so a
+/// hook with captured state (say, a delivery counter) forks with the
+/// [`SchedNet`] that holds it and each fork keeps its own copy.
+pub trait TamperFn<M>: Send {
+    /// Inspects (and possibly mutates) one delivery.
+    fn tamper(&mut self, seq: u64, from: MachineId, to: MachineId, msg: &mut M) -> bool;
+    /// Clones the hook, captured state included.
+    fn clone_box(&self) -> TamperHook<M>;
+}
+
+impl<M, F> TamperFn<M> for F
+where
+    F: FnMut(u64, MachineId, MachineId, &mut M) -> bool + Clone + Send + 'static,
+{
+    fn tamper(&mut self, seq: u64, from: MachineId, to: MachineId, msg: &mut M) -> bool {
+        self(seq, from, to, msg)
+    }
+
+    fn clone_box(&self) -> TamperHook<M> {
+        Box::new(self.clone())
+    }
+}
+
+/// The installed delivery-time tamper hook (see [`TamperFn`]).
+pub type TamperHook<M> = Box<dyn TamperFn<M>>;
+
+impl<M> Clone for TamperHook<M> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
 
 /// A mesh whose every delivery, join, and timer firing is an external
 /// choice. See the module docs for the model.
+///
+/// Cloning forks the whole mesh — actors, in-flight messages, staged
+/// joins, armed timers, seq/stamp counters, metrics and the tamper hook's
+/// captured state — so the fork and the original evolve independently
+/// under the same choices. The tracer sink is shared, not copied.
+#[derive(Clone)]
 pub struct SchedNet<A: Actor> {
     machines: BTreeMap<MachineId, A>,
     /// Messages in flight, keyed by stable seq.
@@ -245,7 +284,7 @@ impl<A: Actor> SchedNet<A> {
             return false;
         };
         if let Some(hook) = self.tamper.as_mut() {
-            if hook(p.seq, p.from, p.to, &mut p.msg) {
+            if hook.tamper(p.seq, p.from, p.to, &mut p.msg) {
                 self.tampered += 1;
             }
         }
@@ -401,6 +440,7 @@ mod tests {
 
     /// Test actor: logs received payloads, replies to "ping", arms a timer
     /// on start.
+    #[derive(Debug, Clone, PartialEq)]
     struct Probe {
         seen: Vec<&'static str>,
         timers: Vec<u64>,
@@ -574,5 +614,101 @@ mod tests {
         }
         assert_eq!(net.actor(m(1)).unwrap().seen, vec!["mutated", "y"]);
         assert_eq!(net.tamper_count(), 1);
+    }
+
+    /// Everything a step can change, for comparing two meshes.
+    fn observe(net: &SchedNet<Probe>) -> impl PartialEq + std::fmt::Debug {
+        let pending: Vec<_> = net
+            .pending_msgs()
+            .into_iter()
+            .map(|s| {
+                let p = net.pending_msg(s).unwrap();
+                (p.seq, p.from, p.to, p.msg, p.stamp)
+            })
+            .collect();
+        let actors: Vec<_> = net
+            .members()
+            .into_iter()
+            .map(|id| (id, net.actor(id).unwrap().clone()))
+            .collect();
+        (
+            pending,
+            net.pending_joins(),
+            net.next_timer_due(),
+            net.now(),
+            net.metrics(),
+            net.tamper_count(),
+            actors,
+        )
+    }
+
+    /// Steps both meshes identically: deliver the lowest pending seq,
+    /// otherwise admit the staged join, otherwise fire a timer.
+    fn step(net: &mut SchedNet<Probe>) -> bool {
+        if let Some(&s) = net.pending_msgs().first() {
+            return net.deliver(s);
+        }
+        if let Some(&j) = net.pending_joins().first() {
+            return net.admit(j);
+        }
+        net.fire_next_timer()
+    }
+
+    #[test]
+    fn clone_forks_the_whole_mesh() {
+        let mut net: SchedNet<Probe> = SchedNet::new();
+        for i in 0..3 {
+            net.add_machine(m(i), Probe::new());
+        }
+        // A stateful hook: rewrites only the second "ping" it sees, so a
+        // fork must carry its own copy of the counter.
+        let mut pings = 0u32;
+        net.set_tamper(Box::new(move |_, _, _, msg: &mut &'static str| {
+            if *msg != "ping" {
+                return false;
+            }
+            pings += 1;
+            if pings == 2 {
+                *msg = "tampered";
+            }
+            pings == 2
+        }));
+        net.call(m(0), |_, ctx| ctx.broadcast(Channel::Operations, "ping"));
+        net.call(m(2), |_, ctx| ctx.send(m(1), Channel::Operations, "ping"));
+        let first = net.pending_msgs()[0];
+        assert!(net.deliver(first));
+        net.stage_join(m(3), Probe::new());
+
+        // Mid-run: pending messages, armed timers, a staged join and one
+        // ping already counted by the hook.
+        assert!(!net.pending_msgs().is_empty());
+        assert!(net.has_timers());
+        assert_eq!(net.pending_joins().len(), 1);
+        let mut fork = net.clone();
+        assert_eq!(observe(&net), observe(&fork));
+
+        let mut ran = 0;
+        while step(&mut net) {
+            assert!(step(&mut fork), "the fork diverged at step {ran}");
+            assert_eq!(observe(&net), observe(&fork), "after step {ran}");
+            ran += 1;
+        }
+        assert!(!step(&mut fork));
+        assert!(ran > 6, "the lockstep run covered only {ran} steps");
+        assert_eq!(net.tamper_count(), 1);
+        assert_eq!(net.members().len(), 4, "the staged join was admitted");
+
+        // A second fork from a fresh mid-run state, driven down a
+        // different branch, leaves the original untouched.
+        net.call(m(0), |_, ctx| ctx.broadcast(Channel::Operations, "ping"));
+        let before = observe(&net);
+        let mut fork = net.clone();
+        let last = *fork.pending_msgs().last().unwrap();
+        assert!(fork.drop_msg(last));
+        assert!(step(&mut fork));
+        fork.call(m(1), |_, ctx| ctx.send(m(2), Channel::Operations, "ping"));
+        assert!(step(&mut fork));
+        assert_ne!(observe(&fork), before);
+        assert_eq!(observe(&net), before, "driving the fork moved the original");
     }
 }

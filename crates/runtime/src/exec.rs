@@ -181,7 +181,7 @@ impl Machine {
         }
         self.stats.rounds_applied += 1;
         for object in remote_touched {
-            for hook in &mut self.remote_hooks {
+            for hook in self.remote_hooks.iter_mut() {
                 hook(object);
             }
         }

@@ -66,7 +66,7 @@ use crate::roles::AsyncBatch;
 /// order — not because commutation requires it (it does not), but because
 /// a dense per-sender sequence makes duplicate suppression and loss
 /// repair a single integer comparison.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct AsyncIn {
     /// The next `aseq` expected from this sender; everything below has
     /// been applied (or was folded into a join snapshot).
@@ -336,7 +336,7 @@ impl Machine {
         if !self.remote_hooks.is_empty() {
             if let WireOp::Shared(op) = &env.op {
                 for object in op.objects_touched() {
-                    for hook in &mut self.remote_hooks {
+                    for hook in self.remote_hooks.iter_mut() {
                         hook(object);
                     }
                 }
@@ -529,7 +529,7 @@ mod tests {
         // Composites always serialize.
         assert!(!m.async_eligible(&SharedOp::atomic(vec![op.clone()])));
         // Path disabled: ineligible.
-        m.cfg.async_commit = false;
+        Arc::make_mut(&mut m.cfg).async_commit = false;
         assert!(!m.async_eligible(&op));
     }
 

@@ -49,20 +49,31 @@ use crate::stats::MachineStats;
 /// | `IssueOperation(op, c)`      | [`Machine::issue_with_completion`]    |
 /// | `BeginRead`/`EndRead`        | [`Machine::read`] (closure-scoped)    |
 ///
+/// # Cloning
+///
+/// `Clone` forks the protocol state — stores, pending list, counters,
+/// role and hybrid state — and shares the registry, the tracer and the
+/// telemetry sinks. Completion routines and remote-update hooks belong to
+/// the application and cannot be duplicated, so cloning a machine that
+/// holds any of them **panics**. A machine whose operations were issued
+/// without completions and that has no hooks (as in the model checker's
+/// clusters) clones freely.
+///
 /// # Examples
 ///
 /// See the `guesstimate-runtime` crate-level example.
+#[derive(Clone)]
 pub struct Machine {
     pub(crate) id: MachineId,
     pub(crate) registry: Arc<OpRegistry>,
-    pub(crate) cfg: MachineConfig,
+    pub(crate) cfg: Arc<MachineConfig>,
 
     // --- The §3 machine state ---
     pub(crate) committed: ObjectStore,          // sc
     pub(crate) guess: ObjectStore,              // sg
     pub(crate) pending: VecDeque<WireEnvelope>, // P
     pub(crate) completed: Vec<OpId>,            // C (identities)
-    pub(crate) completions: HashMap<OpId, CompletionFn>,
+    pub(crate) completions: AppClosures<HashMap<OpId, CompletionFn>>,
 
     // --- Object catalog (AvailableObjects) ---
     pub(crate) catalog: BTreeMap<ObjectId, String>,
@@ -104,7 +115,7 @@ pub struct Machine {
     pub(crate) election: ElectionRole,
 
     pub(crate) history: Vec<WireEnvelope>,
-    pub(crate) remote_hooks: Vec<RemoteUpdateHook>,
+    pub(crate) remote_hooks: AppClosures<Vec<RemoteUpdateHook>>,
     /// Witness-containment escapes recorded at apply sites under
     /// [`MachineConfig::paranoid_checks`]; see
     /// [`crate::exec::WitnessViolation`].
@@ -122,6 +133,51 @@ pub struct Machine {
 /// Callback invoked after a synchronization commits *foreign* operations
 /// touching an object (see [`Machine::on_remote_update`]).
 pub type RemoteUpdateHook = Box<dyn FnMut(ObjectId) + Send>;
+
+/// A container of application closures (completion routines, hooks)
+/// inside otherwise clonable protocol state. Closures cannot be
+/// duplicated, so cloning the holder panics — naming `what` — unless it
+/// is empty; see [`Machine`]'s "Cloning" section.
+pub(crate) struct AppClosures<C> {
+    what: &'static str,
+    held: C,
+}
+
+impl<C: Default> AppClosures<C> {
+    pub(crate) fn new(what: &'static str) -> Self {
+        AppClosures {
+            what,
+            held: C::default(),
+        }
+    }
+}
+
+impl<C: Default> Clone for AppClosures<C>
+where
+    for<'a> &'a C: IntoIterator,
+{
+    fn clone(&self) -> Self {
+        assert!(
+            (&self.held).into_iter().next().is_none(),
+            "cannot clone a machine that holds {}: closures cannot be duplicated",
+            self.what
+        );
+        AppClosures::new(self.what)
+    }
+}
+
+impl<C> std::ops::Deref for AppClosures<C> {
+    type Target = C;
+    fn deref(&self) -> &C {
+        &self.held
+    }
+}
+
+impl<C> std::ops::DerefMut for AppClosures<C> {
+    fn deref_mut(&mut self) -> &mut C {
+        &mut self.held
+    }
+}
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -159,12 +215,12 @@ impl Machine {
         Machine {
             id,
             registry,
-            cfg,
+            cfg: Arc::new(cfg),
             committed: ObjectStore::new(),
             guess: ObjectStore::new(),
             pending: VecDeque::new(),
             completed: Vec::new(),
-            completions: HashMap::new(),
+            completions: AppClosures::new("pending completion routines"),
             catalog: BTreeMap::new(),
             op_seq: 0,
             obj_seq: 0,
@@ -182,7 +238,7 @@ impl Machine {
             membership: MembershipRole::new(id, is_master),
             election: ElectionRole::new(id),
             history: Vec::new(),
-            remote_hooks: Vec::new(),
+            remote_hooks: AppClosures::new("remote-update hooks"),
             witness_log: Vec::new(),
             shard_log: Vec::new(),
             stats: MachineStats::default(),

@@ -468,3 +468,75 @@ fn undeclared_read_asserts_by_default() {
     let (mut m, id) = witness_machine(true);
     let _ = m.issue(SharedOp::primitive(id, "copy", args!["src", "dst"]));
 }
+
+// --- Cloning (see `Machine`'s "Cloning" section) ---
+
+#[test]
+#[should_panic(expected = "pending completion routines")]
+fn clone_with_a_pending_completion_panics() {
+    let mut m = machine();
+    let id = m.create_instance(Counter { n: 0 });
+    m.issue_with_completion(SharedOp::primitive(id, "add", args![1]), Box::new(|_| {}))
+        .unwrap();
+    let _ = m.clone();
+}
+
+#[test]
+#[should_panic(expected = "remote-update hooks")]
+fn clone_with_a_remote_update_hook_panics() {
+    let mut m = machine();
+    m.on_remote_update(Box::new(|_| {}));
+    let _ = m.clone();
+}
+
+#[test]
+fn clone_forks_a_closure_free_machine() {
+    let mut m = machine();
+    let id = m.create_instance(Counter { n: 0 });
+    let create: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
+    m.apply_committed_round(create, 0, SimTime::ZERO);
+    // A completion that has already run leaves nothing behind to clone.
+    m.issue_with_completion(SharedOp::primitive(id, "add", args![2]), Box::new(|_| {}))
+        .unwrap();
+    let done: Vec<WireEnvelope> = m.pending.iter().cloned().collect();
+    m.apply_committed_round(done, 1, SimTime::ZERO);
+    assert_eq!(m.stats().completions_run, 1);
+    m.issue(SharedOp::primitive(id, "add_capped", args![5, 10]))
+        .unwrap();
+    m.issue(SharedOp::primitive(id, "add", args![1])).unwrap();
+
+    let mut fork = m.clone();
+    let observe = |m: &Machine| {
+        (
+            m.committed_digest(),
+            m.guess_digest(),
+            m.completed_ops().to_vec(),
+            m.pending_len(),
+            m.stats().clone(),
+        )
+    };
+    // The same protocol events: a round committing a foreign op ahead of
+    // one of ours (a conflict), then a fresh issue (op ids must match).
+    let foreign = WireEnvelope {
+        id: OpId::new(MachineId::new(1), 0),
+        op: WireOp::Shared(SharedOp::primitive(id, "add", args![8])),
+    };
+    for x in [&mut m, &mut fork] {
+        let own = x.pending.front().cloned().unwrap();
+        x.apply_committed_round(vec![foreign.clone(), own], 2, SimTime::ZERO);
+        x.issue(SharedOp::primitive(id, "add", args![3])).unwrap();
+    }
+    assert_eq!(observe(&m), observe(&fork));
+    assert_eq!(m.stats().conflicts, 1);
+    assert_eq!(
+        m.pending.back().map(|e| e.id),
+        fork.pending.back().map(|e| e.id)
+    );
+
+    // Driving the fork further leaves the original where it was.
+    let before = observe(&m);
+    let rest: Vec<WireEnvelope> = fork.pending.iter().cloned().collect();
+    fork.apply_committed_round(rest, 3, SimTime::ZERO);
+    assert_ne!(observe(&fork), before);
+    assert_eq!(observe(&m), before);
+}

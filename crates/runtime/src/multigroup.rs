@@ -65,7 +65,7 @@ use guesstimate_net::{Action, Actor, Channel, Ctx, LatencyModel, NetConfig, SimN
 use guesstimate_telemetry::Telemetry;
 
 use crate::config::MachineConfig;
-use crate::machine::Machine;
+use crate::machine::{AppClosures, Machine};
 use crate::message::{Msg, WireOp};
 use crate::shard::ShardRouter;
 
@@ -312,7 +312,7 @@ struct CrossCommit {
 }
 
 /// Coordinator-only sequencing state (lives on the coordinator node).
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Coordinator {
     queue: VecDeque<(MachineId, u64, Vec<GroupId>, SharedOp)>,
     in_flight: Option<u64>,
@@ -321,6 +321,13 @@ struct Coordinator {
 
 /// One node of a multi-group cluster: a full [`Machine`] per hosted sync
 /// group behind a single mesh [`Actor`]. See the module docs.
+///
+/// `Clone` forks the node — every hosted machine, fenced groups' buffers,
+/// unresolved cross markers and coordinator state — under the same
+/// precondition as [`Machine`]'s: it **panics** if the node or any hosted
+/// machine holds an application closure (a cross-op or per-group
+/// completion routine, a remote-update hook).
+#[derive(Clone)]
 pub struct MultiMachine {
     node: MachineId,
     table: Arc<GroupTable>,
@@ -331,7 +338,7 @@ pub struct MultiMachine {
     cross_q: BTreeMap<GroupId, VecDeque<CrossCommit>>,
     coordinator_node: MachineId,
     coordinator: Option<Coordinator>,
-    cross_completions: BTreeMap<u64, CompletionFn>,
+    cross_completions: AppClosures<BTreeMap<u64, CompletionFn>>,
     oseq_next: u64,
     obj_seq: u64,
     telemetry: Telemetry,
@@ -388,7 +395,7 @@ impl MultiMachine {
             cross_q: BTreeMap::new(),
             coordinator_node,
             coordinator,
-            cross_completions: BTreeMap::new(),
+            cross_completions: AppClosures::new("cross-op completion routines"),
             oseq_next: 0,
             obj_seq: 0,
             telemetry: Telemetry::noop(),
@@ -1230,6 +1237,31 @@ mod tests {
             Telemetry::noop(),
         );
         (net, spec)
+    }
+
+    /// A node holding a cross-op completion cannot be forked; the same
+    /// node without one can.
+    #[test]
+    #[should_panic(expected = "cross-op completion routines")]
+    fn clone_with_a_pending_cross_completion_panics() {
+        let table = Arc::new(GroupTable::from_plan(pair_plan()));
+        let spec = MultiClusterSpec::full_overlap(1, table);
+        let n0 = MachineId::new(0);
+        let mut net = guesstimate_net::SchedNet::new();
+        net.add_machine(n0, spec.build_node(0, &Arc::new(pair_registry()), &cfg()));
+        net.call(n0, |mm, ctx| {
+            let obj = mm.create_instance(Pair::default(), ctx);
+            let _ = mm.clone();
+            let r = mm
+                .issue(
+                    SharedOp::primitive(obj, "mix", args![1]),
+                    Some(Box::new(|_| {})),
+                    ctx,
+                )
+                .unwrap();
+            assert_eq!(r, IssueOutcome::CrossPending);
+        });
+        let _ = net.actor(n0).unwrap().clone();
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub enum Stage {
 }
 
 /// Master-side bookkeeping for the round in progress.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MasterRound {
     /// Round number.
     pub(crate) round: u64,
@@ -128,7 +128,7 @@ pub enum MasterEvent {
 }
 
 /// The master state machine: drives rounds, recovers stalls.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MasterRole {
     me: MachineId,
     /// The round in progress, if any.

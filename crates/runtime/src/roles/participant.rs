@@ -23,7 +23,7 @@ use crate::roles::{AsyncBatch, Effect, OpsBatch};
 
 /// Participant-side state of the round in progress (the master keeps one
 /// too — it participates like everyone else).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoundState {
     /// Round number.
     pub(crate) round: u64,
@@ -129,7 +129,7 @@ pub enum ParticipantEvent {
 }
 
 /// The participant state machine: one per machine, master included.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ParticipantRole {
     me: MachineId,
     /// The round in progress, if any.
